@@ -68,14 +68,20 @@ echo "== telemetry-off identity: instrumentation changes no output bit =="
 cargo test -q --offline --release -p rlibm --test telemetry
 
 echo "== simd feature leg: build, bit-identity matrix, clippy =="
-# The AVX2 staged slice kernels (crates/libm/src/slice_simd.rs) must be
-# drop-in bit-identical to the scalar reference. The workspace test run
+# The AVX2 lanes of the fast-path kernels (crates/libm/src/lane.rs) must
+# be drop-in bit-identical to the scalar f64 lane. The workspace test run
 # above already pins the batched-output checksum with default features;
 # this leg re-runs the identity suite with `simd` on — same pinned
-# constant, so a single diverging output bit fails one of the two runs.
-# Clippy with the feature keeps the intrinsics cfg warning-clean.
+# constant, so a single diverging output bit fails one of the two runs —
+# plus rlibm-math's own unit tests (per-kernel, per-tier F64x4 == f64
+# lane checks, the vector round-safe mask, simd slice identity) and the
+# serve suite over the AVX2 slice path, which no other leg runs with
+# `simd` on. Clippy with the feature keeps the intrinsics cfg
+# warning-clean.
 cargo build --workspace --release --offline --features rlibm/simd,rlibm-bench/simd
 cargo test -q --offline --release -p rlibm --features simd --test two_tier_identity
+cargo test -q --offline --release -p rlibm-math --features simd
+cargo test -q --offline --release -p rlibm-serve --features simd
 cargo clippy --workspace --all-targets --offline \
     --features rlibm/simd,rlibm-bench/simd -- -D warnings
 

@@ -32,7 +32,7 @@ fn posit_count() -> u32 {
 fn fast_path_serves_at_least_99_percent() {
     assert!(
         stats::enabled(),
-        "bench must be built with rlibm-math/fallback-counters"
+        "bench must be built with rlibm-math/telemetry"
     );
 
     for f in Func::ALL {

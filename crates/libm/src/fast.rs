@@ -13,7 +13,10 @@
 //!
 //! 1. every function gets a plain-double kernel (reduction, table lookup,
 //!    Horner — no double-double, no `fma` libcalls) with a *statically
-//!    derived* relative error bound `BAND · 2^-53`;
+//!    derived* relative error bound `BAND · 2^-53`. Each kernel is written
+//!    once, generic over a [`Lane`] (scalar `f64` or four AVX2 lanes) and
+//!    over its progressive tier, so the scalar front ends and the slice
+//!    path run the same code;
 //! 2. the front end checks, with one bit-pattern test
 //!    ([`crate::round::f32_round_safe`] / `posit32_round_safe`]), whether
 //!    the double could lie within that bound of a rounding boundary of the
@@ -67,8 +70,8 @@
 //! results (f32-subnormal, posit regime > 24) are rejected by the safety
 //! test itself, so the kernels never need to reason about them.
 
-use crate::float::exp::pow2i;
-use crate::tables as t;
+use crate::lane::Lane;
+use crate::tables::{self as t, Table};
 
 // Certified relative error bounds, in units of 2^-53 (see module docs).
 pub(crate) const EXP_BAND: u64 = 256;
@@ -114,7 +117,7 @@ pub(crate) const COSPI_DERIVED: u64 = 1024;
 // Progressive prefix tier (tier 0)
 // ---------------------------------------------------------------------
 //
-// Each function also gets a **prefix kernel**: the same reduction and
+// Each kernel also runs as a **prefix tier**: the same reduction and
 // table combine, but evaluating only a low-degree prefix of the
 // polynomial (the progressive sets `rlibm_core::polygen::gen_progressive`
 // emits). The truncation error is larger, so the prefix result is tested
@@ -126,8 +129,8 @@ pub(crate) const COSPI_DERIVED: u64 = 1024;
 // cast is the correct rounding.
 //
 // Prefix bands, same 2^-53 relative units. Derivations mirror the full
-// table above with the truncated tail added. The prefix kernels also
-// read only the **hi words** of the packed tables (half the bytes, one
+// table above with the truncated tail added. The prefix tier also
+// reads only the **hi words** of the packed tables (half the bytes, one
 // u64 decode per entry): the dropped lo word is < 2^-54 of its hi word,
 // which is under 1u for the exp family and at most a few hundred u for
 // the log family at the fold's ~0.0027 cancellation floor — noise
@@ -169,433 +172,423 @@ pub(crate) const SINPI_PREFIX_DERIVED: u64 = 1 << 17;
 pub(crate) const COSPI_PREFIX_DERIVED: u64 = 1 << 17;
 
 // ---------------------------------------------------------------------
-// exp family
+// Kernels: one per function, generic over the lane and the tier
 // ---------------------------------------------------------------------
+//
+// `FULL = false` is the prefix tier, `FULL = true` the full tier. The
+// tier decides how many coefficients of each [`Poly`] the Horner chain
+// evaluates and whether the table lo words (and the trig `corr` fold)
+// are added in; the reduction and every other op are shared.
 
-/// Degree-7 Taylor for `e^r`, `|r| <= ln2/128`, plain Horner.
-///
-/// Structured as `1 + r·(1 + r·q(r))` so the relative error stays a few
-/// ulps even as `r -> 0`. Truncation `r^8/8! < 2^-75`.
-#[inline(always)]
-pub(crate) fn exp_poly_fast(r: f64) -> f64 {
-    let q = 0.5
-        + r * (1.0 / 6.0
-            + r * (1.0 / 24.0 + r * (1.0 / 120.0 + r * (1.0 / 720.0 + r * (1.0 / 5040.0)))));
-    1.0 + r * (1.0 + r * q)
+/// One f32 function's fast path: the lanes it accepts and its kernel.
+pub(crate) trait Kernel {
+    /// Round-safety bands of the prefix and full tiers (2^-53 units).
+    const BANDS: (u64, u64);
+    /// The slice path's fast-path domain, on the exactly widened f32.
+    /// Other lanes re-enter the scalar front end.
+    fn domain<L: Lane>(x: L) -> L::M;
+    /// The kernel at the tier `FULL` selects, for a finite in-domain `x`.
+    fn eval<L: Lane, const FULL: bool>(x: L) -> L;
 }
 
-/// `2^(k/64) · e^r` in plain double. The table's `lo` word is folded in
-/// with one add (`p ~ 1`, so `tl·p ~ tl`), recovering ~half a bit.
-#[inline(always)]
-pub(crate) fn exp_combined_fast(k64: i64, r: f64) -> f64 {
-    let i = k64.div_euclid(64);
-    let j = k64.rem_euclid(64) as usize;
-    let (th, tl) = t::exp2_64(j);
-    (th * exp_poly_fast(r) + tl) * pow2i(i)
+/// A polynomial's coefficients, lowest order first. The prefix tier
+/// evaluates the first `prefix` of them, the full tier all.
+pub(crate) struct Poly {
+    c: &'static [f64],
+    prefix: usize,
 }
 
-/// Fast `e^x`. Requires finite `|x| <= 91` (so `|k| < 2^14` keeps
-/// `k·LN2_64_HI` exact: 39-bit constant x 14-bit integer).
-#[inline(always)]
-pub(crate) fn exp_fast(x: f64) -> f64 {
-    let k = (x * (64.0 * t::LOG2_E)).round_ties_even() as i64;
-    let kf = k as f64;
-    // x - k·LN2_64_HI is exact (cancellation => Sterbenz); the MID word is
-    // a power of two, so its product is exact and the subtraction rounds
-    // once: |delta r| <= ulp(ln2/128) ~ 2^-60.
-    let r = (x - kf * t::LN2_64_HI) - kf * t::LN2_64_MID;
-    exp_combined_fast(k, r)
-}
-
-/// Fast `2^x`. Requires finite `|x| <= 155`.
-#[inline(always)]
-pub(crate) fn exp2_fast(x: f64) -> f64 {
-    let k = (x * 64.0).round_ties_even() as i64;
-    let tt = x - (k as f64) / 64.0; // exact: shared grid, Sterbenz
-    let r = tt * t::LN2_HI + tt * t::LN2_LO;
-    exp_combined_fast(k, r)
-}
-
-/// Fast `10^x`. Requires finite `|x| <= 40`.
-///
-/// The reduced argument cancels ~7 bits of `x·ln10`, and `x·LN10_HI`
-/// rounds *before* the cancellation — the dominant ~2^-46 relative error
-/// in the table above, absorbed by `EXP10_BAND`.
-#[inline(always)]
-pub(crate) fn exp10_fast(x: f64) -> f64 {
-    let k = (x * (64.0 * t::LOG2_10)).round_ties_even() as i64;
-    let kf = k as f64;
-    let b = kf * t::LN2_64_HI; // exact (|k| < 2^14)
-    let r = (x * t::LN10_HI - b) + (x * t::LN10_LO - kf * t::LN2_64_MID);
-    exp_combined_fast(k, r)
-}
-
-/// Degree-4 prefix of [`exp_poly_fast`] (progressive tier 0): drops the
-/// `1/120..1/5040` tail, truncation `r^5/120 <= ~351·2^-53` relative at
-/// `|r| <= ln2/128`.
-#[inline(always)]
-pub(crate) fn exp_poly_prefix(r: f64) -> f64 {
-    1.0 + r * (1.0 + r * (0.5 + r * (1.0 / 6.0 + r * (1.0 / 24.0))))
-}
-
-/// [`exp_combined_fast`] with the prefix polynomial.
-#[inline(always)]
-pub(crate) fn exp_combined_prefix(k64: i64, r: f64) -> f64 {
-    let i = k64.div_euclid(64);
-    let j = k64.rem_euclid(64) as usize;
-    // Hi-only table read: the dropped lo word is < 2^-54·th, under 1u
-    // against the 2048u prefix band (see the tier-0 notes above).
-    t::exp2_64_hi(j) * exp_poly_prefix(r) * pow2i(i)
-}
-
-/// Prefix-tier `e^x` (same reduction as [`exp_fast`]).
-#[inline(always)]
-pub(crate) fn exp_prefix(x: f64) -> f64 {
-    let k = (x * (64.0 * t::LOG2_E)).round_ties_even() as i64;
-    let kf = k as f64;
-    let r = (x - kf * t::LN2_64_HI) - kf * t::LN2_64_MID;
-    exp_combined_prefix(k, r)
-}
-
-/// Prefix-tier `2^x`.
-#[inline(always)]
-pub(crate) fn exp2_prefix(x: f64) -> f64 {
-    let k = (x * 64.0).round_ties_even() as i64;
-    let tt = x - (k as f64) / 64.0;
-    let r = tt * t::LN2_HI + tt * t::LN2_LO;
-    exp_combined_prefix(k, r)
-}
-
-/// Prefix-tier `10^x`.
-#[inline(always)]
-pub(crate) fn exp10_prefix(x: f64) -> f64 {
-    let k = (x * (64.0 * t::LOG2_10)).round_ties_even() as i64;
-    let kf = k as f64;
-    let b = kf * t::LN2_64_HI;
-    let r = (x * t::LN10_HI - b) + (x * t::LN10_LO - kf * t::LN2_64_MID);
-    exp_combined_prefix(k, r)
-}
-
-// ---------------------------------------------------------------------
-// log family
-// ---------------------------------------------------------------------
-
-/// Plain-double Tang reduction with the **index-128 fold**: `j = 128` is
-/// remapped to `(e + 1, j = 0)`, so every input with `|log x| < ~0.0039`
-/// lands in the pure-polynomial branch (`e = 0, j = 0`) where the result
-/// keeps *relative* accuracy. Returns `(e, j, u)` with `u = (z - F)/F`.
-#[inline(always)]
-pub(crate) fn reduce_fast(x: f64) -> (i64, usize, f64) {
-    debug_assert!(x >= f64::MIN_POSITIVE && x.is_finite());
-    let bits = x.to_bits();
-    let mut e = ((bits >> 52) & 0x7ff) as i64 - 1023;
-    let mut z = f64::from_bits((bits & 0x000F_FFFF_FFFF_FFFF) | 0x3FF0_0000_0000_0000);
-    let mut j = ((z - 1.0) * 128.0).round_ties_even() as usize; // 0..=128
-    if j == 128 {
-        e += 1;
-        z *= 0.5; // exact
-        j = 0;
+impl Poly {
+    /// `(prefix, full)` term counts of a kernel polynomial that has
+    /// `lead` terms outside this Horner chain.
+    pub(crate) const fn tier_terms(&self, lead: usize) -> (usize, usize) {
+        (lead + self.prefix, lead + self.c.len())
     }
-    let f = 1.0 + j as f64 / 128.0;
-    let num = z - f; // exact: same binade, shared grid (Sterbenz at j = 0)
-    (e, j, num / f)
-}
 
-/// `log1p(u)` for `|u| <= 1/256 + slack`, plain Horner, structured as
-/// `u + u^2·q(u)` for small-`u` relative accuracy. Truncation `u^9/9`.
-#[inline(always)]
-pub(crate) fn log1p_poly_fast(u: f64) -> f64 {
-    let q = -0.5
-        + u * (1.0 / 3.0
-            + u * (-0.25 + u * (0.2 + u * (-1.0 / 6.0 + u * (1.0 / 7.0 - u * 0.125)))));
-    u + (u * u) * q
-}
-
-/// Fast `ln(x)` for finite positive normal-f64 `x`.
-#[inline(always)]
-pub(crate) fn ln_fast(x: f64) -> f64 {
-    let (e, j, u) = reduce_fast(x);
-    let ef = e as f64;
-    // ef·LN2_HI42 is exact (42-bit constant x |e| <= 2^11); when it
-    // cancels against the table value the sum is Sterbenz-exact.
-    let (fh, fl) = t::ln_f(j);
-    let c = ef * t::LN2_HI42 + fh;
-    let lo = fl + ef * t::LN2_MID;
-    c + (log1p_poly_fast(u) + lo)
-}
-
-/// Fast `log2(x)`.
-#[inline(always)]
-pub(crate) fn log2_fast(x: f64) -> f64 {
-    let (e, j, u) = reduce_fast(x);
-    // Integer + [0, 1): exact whenever it cancels (e = -1, j near 128).
-    let (fh, fl) = t::log2_f(j);
-    let c = e as f64 + fh;
-    let p = log1p_poly_fast(u);
-    c + (p * t::INV_LN2_HI + (fl + p * t::INV_LN2_LO))
-}
-
-/// Fast `log10(x)`.
-#[inline(always)]
-pub(crate) fn log10_fast(x: f64) -> f64 {
-    let (e, j, u) = reduce_fast(x);
-    let ef = e as f64;
-    // The only cancelling exponent is e = -1, where the product is exact.
-    let (fh, fl) = t::log10_f(j);
-    let c = ef * t::LOG10_2_HI + fh;
-    let p = log1p_poly_fast(u);
-    c + (p * t::INV_LN10_HI + (fl + ef * t::LOG10_2_LO + p * t::INV_LN10_LO))
-}
-
-/// Degree-5 prefix of [`log1p_poly_fast`]: `q` keeps terms through
-/// `u^3/5`, truncation `u^6/6` absolute.
-#[inline(always)]
-pub(crate) fn log1p_poly_prefix(u: f64) -> f64 {
-    let q = -0.5 + u * (1.0 / 3.0 + u * (-0.25 + u * 0.2));
-    u + (u * u) * q
-}
-
-/// Prefix-tier `ln(x)`.
-#[inline(always)]
-pub(crate) fn ln_prefix(x: f64) -> f64 {
-    let (e, j, u) = reduce_fast(x);
-    let ef = e as f64;
-    // Hi-only table reads throughout the log-family prefix tier: the
-    // dropped lo word is < 2^-54 absolute, ~200u relative at the fold's
-    // cancellation floor — far inside the 16384u prefix band.
-    let c = ef * t::LN2_HI42 + t::ln_f_hi(j);
-    c + (log1p_poly_prefix(u) + ef * t::LN2_MID)
-}
-
-/// Prefix-tier `log2(x)`.
-#[inline(always)]
-pub(crate) fn log2_prefix(x: f64) -> f64 {
-    let (e, j, u) = reduce_fast(x);
-    let c = e as f64 + t::log2_f_hi(j);
-    let p = log1p_poly_prefix(u);
-    c + (p * t::INV_LN2_HI + p * t::INV_LN2_LO)
-}
-
-/// Prefix-tier `log10(x)`.
-#[inline(always)]
-pub(crate) fn log10_prefix(x: f64) -> f64 {
-    let (e, j, u) = reduce_fast(x);
-    let ef = e as f64;
-    let c = ef * t::LOG10_2_HI + t::log10_f_hi(j);
-    let p = log1p_poly_prefix(u);
-    c + (p * t::INV_LN10_HI + (ef * t::LOG10_2_LO + p * t::INV_LN10_LO))
-}
-
-// ---------------------------------------------------------------------
-// hyperbolic family
-// ---------------------------------------------------------------------
-
-/// Fast `sinh(x)` for finite `2^-11 <= |x| <= 91` (the front ends return
-/// `x` itself below 2^-11, where `sinh(x)` rounds to `x` in every 32-bit
-/// target). Below 2^-4 the odd Taylor series avoids the `A - 1/A`
-/// cancellation entirely; above it the cancellation is bounded by
-/// `coth(1/16) ~ 16`.
-#[inline(always)]
-pub(crate) fn sinh_fast(x: f64) -> f64 {
-    let a = x.abs();
-    let v = if a < 0.0625 {
-        let x2 = a * a;
-        a + a * x2
-            * (1.0 / 6.0 + x2 * (1.0 / 120.0 + x2 * (1.0 / 5040.0 + x2 * (1.0 / 362_880.0))))
-    } else {
-        let big = exp_fast(a);
-        0.5 * (big - 1.0 / big)
-    };
-    if x < 0.0 {
-        -v
-    } else {
-        v
+    #[inline(always)]
+    fn eval<L: Lane, const FULL: bool>(&self, x: L) -> L {
+        horner(x, &self.c[..if FULL { self.c.len() } else { self.prefix }])
     }
 }
 
-/// Fast `cosh(x)` for finite `|x| <= 91`. `A + 1/A` never cancels.
+/// `c0 + x·(c1 + x·(c2 + ...))`, plain mul/add.
 #[inline(always)]
-pub(crate) fn cosh_fast(x: f64) -> f64 {
-    let a = x.abs();
-    if a < 0.0625 {
-        let x2 = a * a;
-        1.0 + x2 * (0.5 + x2 * (1.0 / 24.0 + x2 * (1.0 / 720.0 + x2 * (1.0 / 40_320.0))))
+fn horner<L: Lane>(x: L, c: &[f64]) -> L {
+    let n = c.len();
+    let mut acc = L::splat(c[n - 1]);
+    for &ci in c[..n - 1].iter().rev() {
+        acc = acc * x + ci;
+    }
+    acc
+}
+
+/// `e^r` for `|r| <= ln2/128`, degree 7 as `1 + r·(1 + r·q(r))` so the
+/// relative error stays a few ulps as `r -> 0`; truncation
+/// `r^8/8! < 2^-75`. The degree-4 prefix drops `r^5/120..`.
+pub(crate) const EXP_POLY: Poly = Poly {
+    c: &[1.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0, 1.0 / 120.0, 1.0 / 720.0, 1.0 / 5040.0],
+    prefix: 5,
+};
+
+/// `q(u)` of `log1p(u) = u + u^2·q(u)`, `|u| <= 1/256 + slack`;
+/// truncation `u^9/9`. The prefix keeps terms through `u^3/5`.
+pub(crate) const LOG1P_Q: Poly = Poly {
+    c: &[-0.5, 1.0 / 3.0, -0.25, 0.2, -1.0 / 6.0, 1.0 / 7.0, -0.125],
+    prefix: 4,
+};
+
+/// Tail of `sin(pi r) = r·PI + r^3·tail(r^2)`; the prefix keeps `C3`.
+pub(crate) const SINPI_TAIL: Poly = Poly { c: &[t::SINPI_C3, t::SINPI_C5, t::SINPI_C7], prefix: 1 };
+
+/// Tail of `cos(pi r) = 1 + r^2·C2 + r^4·tail(r^2)`; the prefix keeps `C4`.
+pub(crate) const COSPI_TAIL: Poly = Poly { c: &[t::COSPI_C4, t::COSPI_C6], prefix: 1 };
+
+/// Odd Taylor tail of `sinh` below 2^-4, full degree at both tiers.
+const SINH_TAYLOR: [f64; 4] = [1.0 / 6.0, 1.0 / 120.0, 1.0 / 5040.0, 1.0 / 362_880.0];
+
+/// Even Taylor series of `cosh` below 2^-4, full degree at both tiers.
+const COSH_TAYLOR: [f64; 5] = [1.0, 0.5, 1.0 / 24.0, 1.0 / 720.0, 1.0 / 40_320.0];
+
+/// Table entry `i`: the full tier reads `(hi, lo)`, the prefix tier the
+/// hi word only (the lo slot is zero and never added).
+#[inline(always)]
+fn lookup<L: Lane, const FULL: bool>(tab: &Table, i: L::I) -> (L, L) {
+    if FULL {
+        L::gather_pair(tab, i)
     } else {
-        let big = exp_fast(a);
-        0.5 * (big + 1.0 / big)
+        (L::gather_hi(tab, i), L::splat(0.0))
     }
 }
 
-/// Prefix-tier `sinh(x)`: the dominant branch runs [`exp_prefix`]; the
-/// small-|x| Taylor branch is already cheap and stays at full degree, so
-/// its error remains inside even the full band.
+/// `2^(k/64)·e^r`: table at `k mod 64`, exponent scale at `k div 64`
+/// (`& 63` and `>> 6` on two's complement). The full tier folds the lo
+/// word in with one add (`p ~ 1`, so `tl·p ~ tl`).
 #[inline(always)]
-pub(crate) fn sinh_prefix(x: f64) -> f64 {
-    let a = x.abs();
-    let v = if a < 0.0625 {
-        let x2 = a * a;
-        a + a * x2
-            * (1.0 / 6.0 + x2 * (1.0 / 120.0 + x2 * (1.0 / 5040.0 + x2 * (1.0 / 362_880.0))))
-    } else {
-        let big = exp_prefix(a);
-        0.5 * (big - 1.0 / big)
-    };
-    if x < 0.0 {
-        -v
-    } else {
-        v
+fn exp_combine<L: Lane, const FULL: bool>(k: L::I, r: L) -> L {
+    let (th, tl) = lookup::<L, FULL>(&t::EXP2_64, L::int_and(k, 63));
+    let mut v = th * EXP_POLY.eval::<L, FULL>(r);
+    if FULL {
+        v = v + tl;
+    }
+    v * L::pow2i(L::int_sar(k, 6))
+}
+
+/// `k·ln2/64` in two words for `|k| < 2^14`: `k·LN2_64_HI` is exact
+/// (39-bit constant x 14-bit integer) and the MID word is a power of
+/// two, so its product is exact too.
+#[inline(always)]
+fn k_ln2_64<L: Lane>(kf: L) -> (L, L) {
+    (kf * t::LN2_64_HI, kf * t::LN2_64_MID)
+}
+
+/// `e^x`, finite `|x| <= 91` (so `|k| < 2^14`).
+pub(crate) struct Exp;
+
+impl Kernel for Exp {
+    const BANDS: (u64, u64) = (EXP_PREFIX_BAND, EXP_BAND);
+    #[inline(always)]
+    fn domain<L: Lane>(x: L) -> L::M {
+        x.at_least(-106.0) & x.at_most(89.0)
+    }
+    #[inline(always)]
+    fn eval<L: Lane, const FULL: bool>(x: L) -> L {
+        let k = (x * (64.0 * t::LOG2_E)).round_int();
+        let (hi, mid) = k_ln2_64(L::from_int(k));
+        // x - hi is exact (Sterbenz), so the reduction rounds once.
+        exp_combine::<L, FULL>(k, (x - hi) - mid)
     }
 }
 
-/// Prefix-tier `cosh(x)` (see [`sinh_prefix`] for the branch policy).
-#[inline(always)]
-pub(crate) fn cosh_prefix(x: f64) -> f64 {
-    let a = x.abs();
-    if a < 0.0625 {
-        let x2 = a * a;
-        1.0 + x2 * (0.5 + x2 * (1.0 / 24.0 + x2 * (1.0 / 720.0 + x2 * (1.0 / 40_320.0))))
-    } else {
-        let big = exp_prefix(a);
-        0.5 * (big + 1.0 / big)
+/// `2^x`, finite `|x| <= 155`.
+pub(crate) struct Exp2;
+
+impl Kernel for Exp2 {
+    const BANDS: (u64, u64) = (EXP2_PREFIX_BAND, EXP2_BAND);
+    #[inline(always)]
+    fn domain<L: Lane>(x: L) -> L::M {
+        x.at_least(-151.0) & x.below(128.0)
+    }
+    #[inline(always)]
+    fn eval<L: Lane, const FULL: bool>(x: L) -> L {
+        let k = (x * 64.0).round_int();
+        let tt = x - L::from_int(k) / 64.0; // exact: shared grid, Sterbenz
+        exp_combine::<L, FULL>(k, tt * t::LN2_HI + tt * t::LN2_LO)
     }
 }
 
-// ---------------------------------------------------------------------
-// sinpi / cospi
-// ---------------------------------------------------------------------
+/// `10^x`, finite `|x| <= 40`. The reduced argument cancels ~7 bits of
+/// `x·ln10`, and `x·LN10_HI` rounds before the cancellation: the
+/// dominant ~2^-46 error, absorbed by `EXP10_BAND`.
+pub(crate) struct Exp10;
 
-/// `sin(pi r)` for exact `r in [0, 1/512]`, plain double, relative
-/// accurate as `r -> 0` (leading term rounds once).
+impl Kernel for Exp10 {
+    const BANDS: (u64, u64) = (EXP10_PREFIX_BAND, EXP10_BAND);
+    #[inline(always)]
+    fn domain<L: Lane>(x: L) -> L::M {
+        x.at_least(-45.5) & x.at_most(38.6f32 as f64)
+    }
+    #[inline(always)]
+    fn eval<L: Lane, const FULL: bool>(x: L) -> L {
+        let k = (x * (64.0 * t::LOG2_10)).round_int();
+        let (hi, mid) = k_ln2_64(L::from_int(k));
+        exp_combine::<L, FULL>(k, (x * t::LN10_HI - hi) + (x * t::LN10_LO - mid))
+    }
+}
+
+/// Tang reduction with the **index-128 fold**: `j = 128` becomes
+/// `(e + 1, j = 0)`, so every input with `|log x| < ~0.0039` lands in the
+/// pure-polynomial branch (`e = 0, j = 0`) and keeps relative accuracy.
+/// Returns `(e, j, u)` with `u = (z - F)/F`, for positive normal `x`.
 #[inline(always)]
-pub(crate) fn sinpi_poly_fast(r: f64) -> f64 {
+fn log_reduce<L: Lane>(x: L) -> (L, L::I, L) {
+    let z = x.mantissa();
+    let t = (z - 1.0) * 128.0;
+    let j = t.round_int(); // 0..=128
+    let fold = t.at_least(127.5); // exactly the lanes where j == 128
+    let e = x.exponent();
+    let e = L::select(fold, e + 1.0, e);
+    let z = L::select(fold, z * 0.5, z); // exact
+    let j = L::int_and(j, 127);
+    let f = L::from_int(j) / 128.0 + 1.0;
+    // z - f is exact: same binade, shared grid (Sterbenz at j = 0).
+    (e, j, (z - f) / f)
+}
+
+#[inline(always)]
+fn log1p<L: Lane, const FULL: bool>(u: L) -> L {
+    u + (u * u) * LOG1P_Q.eval::<L, FULL>(u)
+}
+
+#[inline(always)]
+fn log_domain<L: Lane>(x: L) -> L::M {
+    // Every positive f32, subnormals included, widens to a normal f64.
+    x.above(0.0) & x.below(f64::INFINITY)
+}
+
+/// `ln(x)`.
+pub(crate) struct Ln;
+
+impl Kernel for Ln {
+    const BANDS: (u64, u64) = (LN_PREFIX_BAND, LN_BAND);
+    #[inline(always)]
+    fn domain<L: Lane>(x: L) -> L::M {
+        log_domain(x)
+    }
+    #[inline(always)]
+    fn eval<L: Lane, const FULL: bool>(x: L) -> L {
+        let (e, j, u) = log_reduce(x);
+        let (fh, fl) = lookup::<L, FULL>(&t::LN_F, j);
+        // e·LN2_HI42 is exact (42-bit constant x |e| <= 2^11); when it
+        // cancels against the table value the sum is Sterbenz-exact.
+        let c = e * t::LN2_HI42 + fh;
+        let mut lo = e * t::LN2_MID;
+        if FULL {
+            lo = fl + lo;
+        }
+        c + (log1p::<L, FULL>(u) + lo)
+    }
+}
+
+/// `log2(x)`.
+pub(crate) struct Log2;
+
+impl Kernel for Log2 {
+    const BANDS: (u64, u64) = (LOG2_PREFIX_BAND, LOG2_BAND);
+    #[inline(always)]
+    fn domain<L: Lane>(x: L) -> L::M {
+        log_domain(x)
+    }
+    #[inline(always)]
+    fn eval<L: Lane, const FULL: bool>(x: L) -> L {
+        let (e, j, u) = log_reduce(x);
+        let (fh, fl) = lookup::<L, FULL>(&t::LOG2_F, j);
+        // Integer + [0, 1): exact whenever it cancels (e = -1, j near 128).
+        let c = e + fh;
+        let p = log1p::<L, FULL>(u);
+        let mut lo = p * t::INV_LN2_LO;
+        if FULL {
+            lo = fl + lo;
+        }
+        c + (p * t::INV_LN2_HI + lo)
+    }
+}
+
+/// `log10(x)`.
+pub(crate) struct Log10;
+
+impl Kernel for Log10 {
+    const BANDS: (u64, u64) = (LOG10_PREFIX_BAND, LOG10_BAND);
+    #[inline(always)]
+    fn domain<L: Lane>(x: L) -> L::M {
+        log_domain(x)
+    }
+    #[inline(always)]
+    fn eval<L: Lane, const FULL: bool>(x: L) -> L {
+        let (e, j, u) = log_reduce(x);
+        let (fh, fl) = lookup::<L, FULL>(&t::LOG10_F, j);
+        // The only cancelling exponent is e = -1, where the product is exact.
+        let c = e * t::LOG10_2_HI + fh;
+        let p = log1p::<L, FULL>(u);
+        let mut lo = e * t::LOG10_2_LO;
+        if FULL {
+            lo = fl + lo;
+        }
+        c + (p * t::INV_LN10_HI + (lo + p * t::INV_LN10_LO))
+    }
+}
+
+/// `sinh(x)` for finite `2^-12 <= |x| <= 90` (smaller `|x|` round to `x`
+/// in every 32-bit target). Below 2^-4 the odd Taylor series avoids the
+/// `A - 1/A` cancellation; above it the cancellation is bounded by
+/// `coth(1/16) ~ 16`. The prefix tier runs the prefix `exp`.
+pub(crate) struct Sinh;
+
+impl Kernel for Sinh {
+    const BANDS: (u64, u64) = (SINH_PREFIX_BAND, SINH_BAND);
+    #[inline(always)]
+    fn domain<L: Lane>(x: L) -> L::M {
+        let a = x.abs();
+        a.at_most(90.0) & a.at_least(2f64.powi(-12))
+    }
+    #[inline(always)]
+    fn eval<L: Lane, const FULL: bool>(x: L) -> L {
+        let a = x.abs();
+        let v = L::select_with(
+            a.below(0.0625),
+            || {
+                let x2 = a * a;
+                a + a * x2 * horner(x2, &SINH_TAYLOR)
+            },
+            || {
+                let big = Exp::eval::<L, FULL>(a);
+                (big - L::splat(1.0) / big) * 0.5
+            },
+        );
+        v.neg_where(x.below(0.0))
+    }
+}
+
+/// `cosh(x)` for finite `2^-13 <= |x| <= 90`; `A + 1/A` never cancels.
+pub(crate) struct Cosh;
+
+impl Kernel for Cosh {
+    const BANDS: (u64, u64) = (COSH_PREFIX_BAND, COSH_BAND);
+    #[inline(always)]
+    fn domain<L: Lane>(x: L) -> L::M {
+        let a = x.abs();
+        a.at_most(90.0) & a.at_least(2f64.powi(-13))
+    }
+    #[inline(always)]
+    fn eval<L: Lane, const FULL: bool>(x: L) -> L {
+        let a = x.abs();
+        L::select_with(
+            a.below(0.0625),
+            || horner(a * a, &COSH_TAYLOR),
+            || {
+                let big = Exp::eval::<L, FULL>(a);
+                (big + L::splat(1.0) / big) * 0.5
+            },
+        )
+    }
+}
+
+/// `sin(pi r)` for exact `r in [0, 1/512]`, relative accurate as
+/// `r -> 0` (the leading term rounds once).
+#[inline(always)]
+fn sinpi_poly<L: Lane, const FULL: bool>(r: L) -> L {
     let r2 = r * r;
-    r * t::PI_HI + (r * t::PI_LO + r * r2 * (t::SINPI_C3 + r2 * (t::SINPI_C5 + r2 * t::SINPI_C7)))
+    r * t::PI_HI + (r * t::PI_LO + r * r2 * SINPI_TAIL.eval::<L, FULL>(r2))
 }
 
-/// `cos(pi r)` for exact `r in [0, 1/512]`, plain double.
+/// `cos(pi r)` for exact `r in [0, 1/512]`.
 #[inline(always)]
-pub(crate) fn cospi_poly_fast(r: f64) -> f64 {
+fn cospi_poly<L: Lane, const FULL: bool>(r: L) -> L {
     let r2 = r * r;
-    1.0 + (r2 * t::COSPI_C2_HI + (r2 * t::COSPI_C2_LO + r2 * r2 * (t::COSPI_C4 + r2 * t::COSPI_C6)))
+    (r2 * t::COSPI_C2_HI + (r2 * t::COSPI_C2_LO + r2 * r2 * COSPI_TAIL.eval::<L, FULL>(r2))) + 1.0
 }
 
-/// `floor(x)` for non-negative `x < 2^53` via an exact integer-cast
-/// round trip. `f64::floor` lowers to a dynamic libm call on the
-/// baseline x86-64 target (no SSE4.1 `roundsd`), which costs more than
-/// the whole surrounding reduction; two convert instructions don't.
+/// `a mod 2` folded into `[0, 1)`, with the upper-half-period flag.
 #[inline(always)]
-pub(crate) fn floor_pos(x: f64) -> f64 {
-    (x as u64) as f64
+fn mod2_split<L: Lane>(a: L) -> (L::M, L) {
+    let j = a - (a * 0.5).floor_pos() * 2.0;
+    let k = j.at_least(1.0);
+    (k, L::select(k, j - 1.0, j))
 }
 
-/// Exact `a mod 2` split, shared with the dd kernel's structure.
+/// The trig table combine at entry `n`: `A·cp + B·sp` with
+/// `(A, B) = (a[n], b[n])`. The full tier folds the lo words in with two
+/// cheap products (`corr`), recovering the ~2^-54 they carry; the prefix
+/// tier drops them (~2^-53 relative, invisible against its 2^-34 band).
 #[inline(always)]
-fn mod2_split_fast(a: f64) -> (bool, f64) {
-    let j = a - 2.0 * floor_pos(a * 0.5);
-    if j >= 1.0 {
-        (true, j - 1.0)
-    } else {
-        (false, j)
+fn trig_combine<L: Lane, const FULL: bool>(a: &Table, b: &Table, n: L::I, r: L) -> L {
+    let sp = sinpi_poly::<L, FULL>(r);
+    let cp = cospi_poly::<L, FULL>(r);
+    let (ah, al) = lookup::<L, FULL>(a, n);
+    let (bh, bl) = lookup::<L, FULL>(b, n);
+    let mut tail = bh * sp;
+    if FULL {
+        tail = tail + (al * cp + bl * sp);
+    }
+    ah * cp + tail
+}
+
+/// `sin(pi x)` for non-integer `2^-36 <= |x| < 2^23`. Table index
+/// `N = 0` has `(sin, cos) = (0, 1)`, so the result is the polynomial
+/// itself and keeps relative accuracy for the smallest results.
+pub(crate) struct Sinpi;
+
+impl Kernel for Sinpi {
+    const BANDS: (u64, u64) = (SINPI_PREFIX_BAND, SINPI_BAND);
+    #[inline(always)]
+    fn domain<L: Lane>(x: L) -> L::M {
+        let a = x.abs();
+        a.below(8_388_608.0) & a.at_least(2f64.powi(-36)) & (a - a.floor_pos()).above(0.0)
+    }
+    #[inline(always)]
+    fn eval<L: Lane, const FULL: bool>(x: L) -> L {
+        let (k, l) = mod2_split(x.abs());
+        let lp = L::select(l.above(0.5), L::splat(1.0) - l, l); // mirror, exact
+        // N = floor(lp·512) in 0..=256; the clamp only keeps vector
+        // gathers in bounds and never binds in-domain.
+        let n = L::int_min((lp * 512.0).trunc_int(), 256);
+        let r = lp - L::from_int(n) / 512.0; // exact
+        trig_combine::<L, FULL>(&t::SINPI_T, &t::COSPI_T, n, r).neg_where(x.below(0.0) ^ k)
     }
 }
 
-/// Fast `sinpi(|x|)` magnitude + half-period sign for non-integer
-/// `2^-36 <= a < 2^23`. Mirrors `sinpi_kernel`: the table's `lo` words are
-/// folded with two cheap products (`corr`), recovering the ~2^-54 they
-/// carry.
-#[inline(always)]
-pub(crate) fn sinpi_fast_reduced(a: f64) -> (bool, f64) {
-    let (k, l) = mod2_split_fast(a);
-    let lp = if l > 0.5 { 1.0 - l } else { l };
-    let n = (lp * 512.0) as usize; // as-cast truncation == floor (lp >= 0) // 0..=256
-    let r = lp - n as f64 / 512.0; // exact
-    let sp = sinpi_poly_fast(r);
-    let cp = cospi_poly_fast(r);
-    let (sh, sl) = t::sinpi_t(n);
-    let (ch, cl) = t::cospi_t(n);
-    // N = 0 has (sh, sl) = (0, 0) and (ch, cl) = (1, 0): v = sp exactly,
-    // keeping relative accuracy for the smallest results.
-    let corr = sl * cp + cl * sp;
-    (k, sh * cp + (ch * sp + corr))
-}
-
-/// Fast `cospi` magnitude + sign for non-integer, non-half-integer
-/// `7.77e-5 <= a < 2^24`. Section 5's monotonic recombination
-/// (`L' = N'/512 - R`, both terms share a sign); `N' = 256` has table
-/// value 0 and degenerates to the pure `sinpi` polynomial, keeping
+/// `cos(pi x)` for non-integer, non-half-integer `7.77e-5 <= |x| < 2^24`.
+/// Section 5's monotonic recombination (`L' = N'/512 - R`, both terms
+/// share a sign); `N = 0` is the pure polynomial at `lp`, keeping
 /// relative accuracy near the zeros at half-integers.
-#[inline(always)]
-pub(crate) fn cospi_fast_reduced(a: f64) -> (bool, f64) {
-    let (k, l) = mod2_split_fast(a);
-    let (m, lp) = if l > 0.5 { (true, 1.0 - l) } else { (false, l) };
-    let n = (lp * 512.0) as usize; // as-cast truncation == floor (lp >= 0) // 0..=255 (lp < 1/2 here)
-    let v = if n == 0 {
-        cospi_poly_fast(lp)
-    } else {
-        let np = n + 1;
-        let r = np as f64 / 512.0 - lp; // exact
-        let sp = sinpi_poly_fast(r);
-        let cp = cospi_poly_fast(r);
-        let (ch, cl) = t::cospi_t(np);
-        let (sh, sl) = t::sinpi_t(np);
-        let corr = cl * cp + sl * sp;
-        ch * cp + (sh * sp + corr)
-    };
-    (k ^ m, v)
-}
+pub(crate) struct Cospi;
 
-/// Degree-3 prefix of [`sinpi_poly_fast`] (drops `C5`, `C7`).
-#[inline(always)]
-pub(crate) fn sinpi_poly_prefix(r: f64) -> f64 {
-    let r2 = r * r;
-    r * t::PI_HI + (r * t::PI_LO + r * r2 * t::SINPI_C3)
-}
-
-/// Degree-4 prefix of [`cospi_poly_fast`] (drops `C6`).
-#[inline(always)]
-pub(crate) fn cospi_poly_prefix(r: f64) -> f64 {
-    let r2 = r * r;
-    1.0 + (r2 * t::COSPI_C2_HI + (r2 * t::COSPI_C2_LO + r2 * r2 * t::COSPI_C4))
-}
-
-/// Prefix-tier [`sinpi_fast_reduced`]. On top of the truncated
-/// polynomials, the prefix tier drops the table `lo` words and the
-/// `corr` fold entirely: the lo words carry ~2^-53 relative, invisible
-/// against the certified `SINPI_PREFIX_BAND` of `2^19 * 2^-53 = 2^-34`,
-/// and skipping them halves the tier's packed-table traffic (one u64
-/// load + hi decode per entry).
-#[inline(always)]
-pub(crate) fn sinpi_prefix_reduced(a: f64) -> (bool, f64) {
-    let (k, l) = mod2_split_fast(a);
-    let lp = if l > 0.5 { 1.0 - l } else { l };
-    let n = (lp * 512.0) as usize; // as-cast truncation == floor (lp >= 0)
-    let r = lp - n as f64 / 512.0;
-    let sp = sinpi_poly_prefix(r);
-    let cp = cospi_poly_prefix(r);
-    let sh = t::sinpi_t_hi(n);
-    let ch = t::cospi_t_hi(n);
-    (k, sh * cp + ch * sp)
-}
-
-/// Prefix-tier [`cospi_fast_reduced`] (hi-only table words; see
-/// [`sinpi_prefix_reduced`]).
-#[inline(always)]
-pub(crate) fn cospi_prefix_reduced(a: f64) -> (bool, f64) {
-    let (k, l) = mod2_split_fast(a);
-    let (m, lp) = if l > 0.5 { (true, 1.0 - l) } else { (false, l) };
-    let n = (lp * 512.0) as usize; // as-cast truncation == floor (lp >= 0)
-    let v = if n == 0 {
-        cospi_poly_prefix(lp)
-    } else {
-        let np = n + 1;
-        let r = np as f64 / 512.0 - lp;
-        let sp = sinpi_poly_prefix(r);
-        let cp = cospi_poly_prefix(r);
-        let ch = t::cospi_t_hi(np);
-        let sh = t::sinpi_t_hi(np);
-        ch * cp + sh * sp
-    };
-    (k ^ m, v)
+impl Kernel for Cospi {
+    const BANDS: (u64, u64) = (COSPI_PREFIX_BAND, COSPI_BAND);
+    #[inline(always)]
+    fn domain<L: Lane>(x: L) -> L::M {
+        let a = x.abs();
+        let a2 = a * 2.0; // catches integers and half-integers alike
+        a.at_least(7.77e-5) & a.below(16_777_216.0) & (a2 - a2.floor_pos()).above(0.0)
+    }
+    #[inline(always)]
+    fn eval<L: Lane, const FULL: bool>(x: L) -> L {
+        let (k, l) = mod2_split(x.abs());
+        let m = l.above(0.5);
+        let lp = L::select(m, L::splat(1.0) - l, l);
+        // N in 0..=255 (lp < 1/2 in-domain); the clamp is gather safety.
+        let n512 = lp * 512.0;
+        let n = L::int_min(n512.trunc_int(), 255);
+        let v = L::select_with(
+            n512.below(1.0), // N == 0
+            || cospi_poly::<L, FULL>(lp),
+            || {
+                let np = L::int_add(n, 1);
+                let r = L::from_int(np) / 512.0 - lp; // exact
+                trig_combine::<L, FULL>(&t::COSPI_T, &t::SINPI_T, np, r)
+            },
+        );
+        v.neg_where(k ^ m)
+    }
 }
 
 #[cfg(test)]
@@ -606,7 +599,15 @@ mod tests {
     use crate::float::log::{ln_kernel, log10_kernel, log2_kernel};
     use rlibm_fp::rng::XorShift64;
 
-    /// Checks the fast kernel against the dd kernel on random in-domain
+    fn full<K: Kernel>(x: f64) -> f64 {
+        K::eval::<f64, true>(x)
+    }
+
+    fn prefix<K: Kernel>(x: f64) -> f64 {
+        K::eval::<f64, false>(x)
+    }
+
+    /// Checks a kernel tier against the dd kernel on random in-domain
     /// inputs: the observed relative error must stay within the certified
     /// band constant (the dd kernel is ~2^-85 accurate, so the difference
     /// is an excellent proxy for the fast kernel's true error).
@@ -639,22 +640,22 @@ mod tests {
 
     #[test]
     fn exp_family_within_band() {
-        assert_within_band(exp_fast, exp_kernel, -87.0, 88.0, EXP_BAND, false);
-        assert_within_band(exp2_fast, exp2_kernel, -149.0, 127.9, EXP2_BAND, false);
-        assert_within_band(exp10_fast, exp10_kernel, -45.0, 38.5, EXP10_BAND, false);
+        assert_within_band(full::<Exp>, exp_kernel, -87.0, 88.0, EXP_BAND, false);
+        assert_within_band(full::<Exp2>, exp2_kernel, -149.0, 127.9, EXP2_BAND, false);
+        assert_within_band(full::<Exp10>, exp10_kernel, -45.0, 38.5, EXP10_BAND, false);
     }
 
     #[test]
     fn log_family_within_band() {
-        assert_within_band(ln_fast, ln_kernel, 0.0, 0.0, LN_BAND, true);
-        assert_within_band(log2_fast, log2_kernel, 0.0, 0.0, LOG2_BAND, true);
-        assert_within_band(log10_fast, log10_kernel, 0.0, 0.0, LOG10_BAND, true);
+        assert_within_band(full::<Ln>, ln_kernel, 0.0, 0.0, LN_BAND, true);
+        assert_within_band(full::<Log2>, log2_kernel, 0.0, 0.0, LOG2_BAND, true);
+        assert_within_band(full::<Log10>, log10_kernel, 0.0, 0.0, LOG10_BAND, true);
     }
 
     #[test]
     fn hyper_within_band() {
-        assert_within_band(sinh_fast, sinh_kernel, -88.0, 88.0, SINH_BAND, false);
-        assert_within_band(cosh_fast, cosh_kernel, -88.0, 88.0, COSH_BAND, false);
+        assert_within_band(full::<Sinh>, sinh_kernel, -88.0, 88.0, SINH_BAND, false);
+        assert_within_band(full::<Cosh>, cosh_kernel, -88.0, 88.0, COSH_BAND, false);
     }
 
     #[test]
@@ -666,86 +667,78 @@ mod tests {
                 1.0 + i as f64 * 2f64.powi(-24),
                 1.0 - i as f64 * 2f64.powi(-25),
             ] {
-                let got = ln_fast(x);
+                let got = full::<Ln>(x);
                 let want = ln_kernel(x).to_f64();
                 let rel = ((got - want) / want).abs();
                 assert!(
                     rel <= LN_BAND as f64 * 2f64.powi(-53),
-                    "ln_fast({x:e}): rel {rel:e}"
+                    "ln full tier({x:e}): rel {rel:e}"
                 );
             }
         }
     }
 
-    #[test]
-    fn trig_reduced_within_band() {
-        let mut rng = XorShift64::new(0x517A);
-        for _ in 0..20_000 {
-            let a = rng.uniform_f64(2f64.powi(-30), 8_388_607.0);
-            if a == a.trunc() {
-                continue;
-            }
-            let (ks, vs) = sinpi_fast_reduced(a);
-            let (kd, vd) = crate::float::trig::sinpi_kernel(a);
-            assert_eq!(ks, kd);
-            let want = vd.to_f64();
-            if want != 0.0 {
-                let rel = ((vs - want) / want).abs();
-                assert!(
-                    rel <= SINPI_BAND as f64 * 2f64.powi(-53),
-                    "sinpi_fast({a:e}): rel {rel:e}"
-                );
-            }
+    /// The trig kernels return the signed result; the dd kernels return
+    /// the magnitude plus a half-period sign.
+    fn signed(d: (bool, crate::dd::Dd)) -> f64 {
+        if d.0 {
+            -d.1.to_f64()
+        } else {
+            d.1.to_f64()
         }
     }
 
-    #[test]
-    fn prefix_kernels_within_prefix_bands() {
-        assert_within_band(exp_prefix, exp_kernel, -87.0, 88.0, EXP_PREFIX_BAND, false);
-        assert_within_band(exp2_prefix, exp2_kernel, -149.0, 127.9, EXP2_PREFIX_BAND, false);
-        assert_within_band(exp10_prefix, exp10_kernel, -45.0, 38.5, EXP10_PREFIX_BAND, false);
-        assert_within_band(ln_prefix, ln_kernel, 0.0, 0.0, LN_PREFIX_BAND, true);
-        assert_within_band(log2_prefix, log2_kernel, 0.0, 0.0, LOG2_PREFIX_BAND, true);
-        assert_within_band(log10_prefix, log10_kernel, 0.0, 0.0, LOG10_PREFIX_BAND, true);
-        assert_within_band(sinh_prefix, sinh_kernel, -88.0, 88.0, SINH_PREFIX_BAND, false);
-        assert_within_band(cosh_prefix, cosh_kernel, -88.0, 88.0, COSH_PREFIX_BAND, false);
-    }
-
-    #[test]
-    fn prefix_trig_within_prefix_bands() {
-        let mut rng = XorShift64::new(0x9217);
+    fn assert_trig_within(
+        sinpi: impl Fn(f64) -> f64,
+        cospi: impl Fn(f64) -> f64,
+        sinpi_band: u64,
+        cospi_band: u64,
+        seed: u64,
+    ) {
+        let mut rng = XorShift64::new(seed);
         for _ in 0..20_000 {
             let a = rng.uniform_f64(2f64.powi(-30), 8_388_607.0);
-            if a == a.trunc() {
-                continue;
-            }
-            let (ks, vs) = sinpi_prefix_reduced(a);
-            let (kd, vd) = crate::float::trig::sinpi_kernel(a);
-            assert_eq!(ks, kd);
-            let want = vd.to_f64();
-            if want != 0.0 {
-                let rel = ((vs - want) / want).abs();
-                assert!(
-                    rel <= SINPI_PREFIX_BAND as f64 * 2f64.powi(-53),
-                    "sinpi_prefix({a:e}): rel {rel:e}"
-                );
+            if a != a.trunc() {
+                let want = signed(crate::float::trig::sinpi_kernel(a));
+                let got = sinpi(a);
+                if want != 0.0 {
+                    let rel = ((got - want) / want).abs();
+                    assert!(rel <= sinpi_band as f64 * 2f64.powi(-53), "sinpi({a:e}): rel {rel:e}");
+                }
             }
             let a2 = rng.uniform_f64(1e-4, 16_777_215.0);
             if 2.0 * a2 == (2.0 * a2).trunc() {
                 continue;
             }
-            let (kc, vc) = cospi_prefix_reduced(a2);
-            let (kd2, vd2) = crate::float::trig::cospi_kernel(a2);
-            assert_eq!(kc, kd2);
-            let want2 = vd2.to_f64();
+            let want2 = signed(crate::float::trig::cospi_kernel(a2));
+            let got2 = cospi(a2);
             if want2 != 0.0 {
-                let rel = ((vc - want2) / want2).abs();
-                assert!(
-                    rel <= COSPI_PREFIX_BAND as f64 * 2f64.powi(-53),
-                    "cospi_prefix({a2:e}): rel {rel:e}"
-                );
+                let rel = ((got2 - want2) / want2).abs();
+                assert!(rel <= cospi_band as f64 * 2f64.powi(-53), "cospi({a2:e}): rel {rel:e}");
             }
         }
+    }
+
+    #[test]
+    fn trig_within_band() {
+        assert_trig_within(full::<Sinpi>, full::<Cospi>, SINPI_BAND, COSPI_BAND, 0x517A);
+    }
+
+    #[test]
+    fn prefix_kernels_within_prefix_bands() {
+        assert_within_band(prefix::<Exp>, exp_kernel, -87.0, 88.0, EXP_PREFIX_BAND, false);
+        assert_within_band(prefix::<Exp2>, exp2_kernel, -149.0, 127.9, EXP2_PREFIX_BAND, false);
+        assert_within_band(prefix::<Exp10>, exp10_kernel, -45.0, 38.5, EXP10_PREFIX_BAND, false);
+        assert_within_band(prefix::<Ln>, ln_kernel, 0.0, 0.0, LN_PREFIX_BAND, true);
+        assert_within_band(prefix::<Log2>, log2_kernel, 0.0, 0.0, LOG2_PREFIX_BAND, true);
+        assert_within_band(prefix::<Log10>, log10_kernel, 0.0, 0.0, LOG10_PREFIX_BAND, true);
+        assert_within_band(prefix::<Sinh>, sinh_kernel, -88.0, 88.0, SINH_PREFIX_BAND, false);
+        assert_within_band(prefix::<Cosh>, cosh_kernel, -88.0, 88.0, COSH_PREFIX_BAND, false);
+    }
+
+    #[test]
+    fn prefix_trig_within_prefix_bands() {
+        assert_trig_within(prefix::<Sinpi>, prefix::<Cospi>, SINPI_PREFIX_BAND, COSPI_PREFIX_BAND, 0x9217);
     }
 
     #[test]
@@ -777,12 +770,13 @@ mod tests {
     #[test]
     fn fast_kernels_handle_domain_edges() {
         // exp at the f32 overflow edge stays finite in double.
-        assert!(exp_fast(88.9).is_finite());
-        assert!(exp2_fast(-150.9) > 0.0);
+        assert!(full::<Exp>(88.9).is_finite());
+        assert!(full::<Exp2>(-150.9) > 0.0);
         // Pure-poly log branch at the fold boundary.
-        let y = ln_fast(0.998_046_875); // z = 1.99609375 exactly, j = 128 pre-fold
+        let y = full::<Ln>(0.998_046_875); // z = 1.99609375 exactly, j = 128 pre-fold
         assert!((y - 0.998_046_875f64.ln()).abs() < 1e-15);
-        // sinh parity.
-        assert_eq!(sinh_fast(-3.25), -sinh_fast(3.25));
+        // sinh parity, both tiers.
+        assert_eq!(full::<Sinh>(-3.25), -full::<Sinh>(3.25));
+        assert_eq!(prefix::<Sinh>(-3.25), -prefix::<Sinh>(3.25));
     }
 }

@@ -9,7 +9,11 @@
 //! reduced inputs handled uniformly.
 
 use crate::dd::{two_prod, two_sum, Dd};
+use crate::fast;
+use crate::round::round_dd_f32;
+use crate::stats::slot;
 use crate::tables as t;
+use crate::tiers::climb;
 
 /// `2^i` as a double, total over every integer: exact for
 /// `i in [-1074, 1023]` (subnormal powers included), saturating to
@@ -122,18 +126,7 @@ pub fn exp(x: f32) -> f32 {
         return 0.0; // exp(-106) < 2^-150: rounds to zero
     }
     let xd = x as f64;
-    let y = crate::fault::perturb(crate::stats::slot::EXP, crate::fast::exp_prefix(xd));
-    if crate::round::f32_round_safe(y, crate::fast::EXP_PREFIX_BAND) {
-        crate::stats::record_tier_prefix(crate::stats::slot::EXP);
-        return y as f32;
-    }
-    let y = crate::fast::exp_fast(xd);
-    if crate::round::f32_round_safe(y, crate::fast::EXP_BAND) {
-        crate::stats::record_tier_full(crate::stats::slot::EXP);
-        return y as f32;
-    }
-    crate::stats::record_fallback(crate::stats::slot::EXP);
-    crate::round::round_dd_f32(exp_kernel(xd))
+    climb::<fast::Exp, f32>(slot::EXP, xd, || round_dd_f32(exp_kernel(xd)))
 }
 
 /// `exp` through the double-double kernel only (no fast path).
@@ -147,7 +140,7 @@ pub fn exp_dd(x: f32) -> f32 {
     if x < -106.0 {
         return 0.0;
     }
-    crate::round::round_dd_f32(exp_kernel(x as f64))
+    round_dd_f32(exp_kernel(x as f64))
 }
 
 /// Correctly rounded `2^x` for `f32`.
@@ -169,18 +162,7 @@ pub fn exp2(x: f32) -> f32 {
         return 0.0;
     }
     let xd = x as f64;
-    let y = crate::fault::perturb(crate::stats::slot::EXP2, crate::fast::exp2_prefix(xd));
-    if crate::round::f32_round_safe(y, crate::fast::EXP2_PREFIX_BAND) {
-        crate::stats::record_tier_prefix(crate::stats::slot::EXP2);
-        return y as f32;
-    }
-    let y = crate::fast::exp2_fast(xd);
-    if crate::round::f32_round_safe(y, crate::fast::EXP2_BAND) {
-        crate::stats::record_tier_full(crate::stats::slot::EXP2);
-        return y as f32;
-    }
-    crate::stats::record_fallback(crate::stats::slot::EXP2);
-    crate::round::round_dd_f32(exp2_kernel(xd))
+    climb::<fast::Exp2, f32>(slot::EXP2, xd, || round_dd_f32(exp2_kernel(xd)))
 }
 
 /// `exp2` through the double-double kernel only (no fast path).
@@ -194,7 +176,7 @@ pub fn exp2_dd(x: f32) -> f32 {
     if x < -151.0 {
         return 0.0;
     }
-    crate::round::round_dd_f32(exp2_kernel(x as f64))
+    round_dd_f32(exp2_kernel(x as f64))
 }
 
 /// Correctly rounded `10^x` for `f32`.
@@ -216,18 +198,7 @@ pub fn exp10(x: f32) -> f32 {
         return 0.0; // 10^-45.5 < 2^-150
     }
     let xd = x as f64;
-    let y = crate::fault::perturb(crate::stats::slot::EXP10, crate::fast::exp10_prefix(xd));
-    if crate::round::f32_round_safe(y, crate::fast::EXP10_PREFIX_BAND) {
-        crate::stats::record_tier_prefix(crate::stats::slot::EXP10);
-        return y as f32;
-    }
-    let y = crate::fast::exp10_fast(xd);
-    if crate::round::f32_round_safe(y, crate::fast::EXP10_BAND) {
-        crate::stats::record_tier_full(crate::stats::slot::EXP10);
-        return y as f32;
-    }
-    crate::stats::record_fallback(crate::stats::slot::EXP10);
-    crate::round::round_dd_f32(exp10_kernel(xd))
+    climb::<fast::Exp10, f32>(slot::EXP10, xd, || round_dd_f32(exp10_kernel(xd)))
 }
 
 /// `exp10` through the double-double kernel only (no fast path).
@@ -241,7 +212,7 @@ pub fn exp10_dd(x: f32) -> f32 {
     if x < -45.5 {
         return 0.0;
     }
-    crate::round::round_dd_f32(exp10_kernel(x as f64))
+    round_dd_f32(exp10_kernel(x as f64))
 }
 
 #[cfg(test)]

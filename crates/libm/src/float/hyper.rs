@@ -8,7 +8,11 @@
 //! cancellation, relative accuracy down to the smallest subnormals).
 
 use crate::dd::{two_prod, Dd};
+use crate::fast;
 use crate::float::exp::exp_kernel;
+use crate::round::round_dd_f32;
+use crate::stats::slot;
+use crate::tiers::climb;
 
 /// Kernel: `sinh(x)` for finite `|x| <= 91`.
 pub(crate) fn sinh_kernel(x: f64) -> Dd {
@@ -77,18 +81,7 @@ pub fn sinh(x: f32) -> f32 {
     if xd.abs() < 2f64.powi(-12) {
         return x;
     }
-    let y = crate::fault::perturb(crate::stats::slot::SINH, crate::fast::sinh_prefix(xd));
-    if crate::round::f32_round_safe(y, crate::fast::SINH_PREFIX_BAND) {
-        crate::stats::record_tier_prefix(crate::stats::slot::SINH);
-        return y as f32;
-    }
-    let y = crate::fast::sinh_fast(xd);
-    if crate::round::f32_round_safe(y, crate::fast::SINH_BAND) {
-        crate::stats::record_tier_full(crate::stats::slot::SINH);
-        return y as f32;
-    }
-    crate::stats::record_fallback(crate::stats::slot::SINH);
-    crate::round::round_dd_f32(sinh_kernel(xd))
+    climb::<fast::Sinh, f32>(slot::SINH, xd, || round_dd_f32(sinh_kernel(xd)))
 }
 
 /// `sinh` through the double-double kernel only (no fast path).
@@ -105,7 +98,7 @@ pub fn sinh_dd(x: f32) -> f32 {
     if x < -90.0 {
         return f32::NEG_INFINITY;
     }
-    crate::round::round_dd_f32(sinh_kernel(x as f64))
+    round_dd_f32(sinh_kernel(x as f64))
 }
 
 /// Correctly rounded hyperbolic cosine for `f32`.
@@ -129,18 +122,7 @@ pub fn cosh(x: f32) -> f32 {
     if xd.abs() < 2f64.powi(-13) {
         return 1.0;
     }
-    let y = crate::fault::perturb(crate::stats::slot::COSH, crate::fast::cosh_prefix(xd));
-    if crate::round::f32_round_safe(y, crate::fast::COSH_PREFIX_BAND) {
-        crate::stats::record_tier_prefix(crate::stats::slot::COSH);
-        return y as f32;
-    }
-    let y = crate::fast::cosh_fast(xd);
-    if crate::round::f32_round_safe(y, crate::fast::COSH_BAND) {
-        crate::stats::record_tier_full(crate::stats::slot::COSH);
-        return y as f32;
-    }
-    crate::stats::record_fallback(crate::stats::slot::COSH);
-    crate::round::round_dd_f32(cosh_kernel(xd))
+    climb::<fast::Cosh, f32>(slot::COSH, xd, || round_dd_f32(cosh_kernel(xd)))
 }
 
 /// `cosh` through the double-double kernel only (no fast path).
@@ -151,7 +133,7 @@ pub fn cosh_dd(x: f32) -> f32 {
     if x.abs() > 90.0 {
         return f32::INFINITY;
     }
-    crate::round::round_dd_f32(cosh_kernel(x as f64))
+    round_dd_f32(cosh_kernel(x as f64))
 }
 
 #[cfg(test)]

@@ -9,7 +9,11 @@
 //! kernel stays within ~2^-85 relative error.
 
 use crate::dd::{two_prod, two_sum, Dd};
+use crate::fast::{self, Kernel};
+use crate::round::round_dd_f32;
+use crate::stats::slot;
 use crate::tables as t;
+use crate::tiers::climb;
 
 /// Decomposes a positive finite double into `(e, z)` with `x = z * 2^e`,
 /// `z` in `[1, 2)` (handles f32-origin subnormals after upscaling).
@@ -97,15 +101,7 @@ pub(crate) fn log10_kernel(x: f64) -> Dd {
 /// the wide prefix band rejects, and to the dd kernel when the full
 /// band rejects too.
 #[inline]
-fn log_front(
-    x: f32,
-    prefix: fn(f64) -> f64,
-    prefix_band: u64,
-    fast: fn(f64) -> f64,
-    band: u64,
-    slot: usize,
-    kernel: fn(f64) -> Dd,
-) -> f32 {
+fn log_front<K: Kernel>(x: f32, slot: usize, kernel: fn(f64) -> Dd) -> f32 {
     if x.is_nan() {
         return f32::NAN;
     }
@@ -119,18 +115,7 @@ fn log_front(
         return f32::INFINITY;
     }
     let xd = x as f64;
-    let y = crate::fault::perturb(slot, prefix(xd));
-    if crate::round::f32_round_safe(y, prefix_band) {
-        crate::stats::record_tier_prefix(slot);
-        return y as f32;
-    }
-    let y = fast(xd);
-    if crate::round::f32_round_safe(y, band) {
-        crate::stats::record_tier_full(slot);
-        return y as f32;
-    }
-    crate::stats::record_fallback(slot);
-    crate::round::round_dd_f32(kernel(xd))
+    climb::<K, f32>(slot, xd, || round_dd_f32(kernel(xd)))
 }
 
 /// dd-only front end (tier 2 alone), kept for the `*_dd` reference
@@ -149,7 +134,7 @@ fn log_front_dd(x: f32, kernel: fn(f64) -> Dd) -> f32 {
     if x == f32::INFINITY {
         return f32::INFINITY;
     }
-    crate::round::round_dd_f32(kernel(x as f64))
+    round_dd_f32(kernel(x as f64))
 }
 
 /// Correctly rounded natural logarithm for `f32`.
@@ -163,15 +148,7 @@ fn log_front_dd(x: f32, kernel: fn(f64) -> Dd) -> f32 {
 /// assert_eq!(rlibm_math::ln(0.1f32), -2.3025851f32);
 /// ```
 pub fn ln(x: f32) -> f32 {
-    log_front(
-        x,
-        crate::fast::ln_prefix,
-        crate::fast::LN_PREFIX_BAND,
-        crate::fast::ln_fast,
-        crate::fast::LN_BAND,
-        crate::stats::slot::LN,
-        ln_kernel,
-    )
+    log_front::<fast::Ln>(x, slot::LN, ln_kernel)
 }
 
 /// `ln` through the double-double kernel only (no fast path).
@@ -189,15 +166,7 @@ pub fn ln_dd(x: f32) -> f32 {
 /// assert_eq!(rlibm_math::log2(f32::from_bits(1)), -149.0);
 /// ```
 pub fn log2(x: f32) -> f32 {
-    log_front(
-        x,
-        crate::fast::log2_prefix,
-        crate::fast::LOG2_PREFIX_BAND,
-        crate::fast::log2_fast,
-        crate::fast::LOG2_BAND,
-        crate::stats::slot::LOG2,
-        log2_kernel,
-    )
+    log_front::<fast::Log2>(x, slot::LOG2, log2_kernel)
 }
 
 /// `log2` through the double-double kernel only (no fast path).
@@ -214,15 +183,7 @@ pub fn log2_dd(x: f32) -> f32 {
 /// assert_eq!(rlibm_math::log10(1e10f32), 10.0);
 /// ```
 pub fn log10(x: f32) -> f32 {
-    log_front(
-        x,
-        crate::fast::log10_prefix,
-        crate::fast::LOG10_PREFIX_BAND,
-        crate::fast::log10_fast,
-        crate::fast::LOG10_BAND,
-        crate::stats::slot::LOG10,
-        log10_kernel,
-    )
+    log_front::<fast::Log10>(x, slot::LOG10, log10_kernel)
 }
 
 /// `log10` through the double-double kernel only (no fast path).

@@ -13,7 +13,11 @@
 //! with its `-sinpi·sinpi` term.
 
 use crate::dd::{two_prod, Dd};
+use crate::fast;
+use crate::round::round_dd_f32;
+use crate::stats::slot;
 use crate::tables as t;
+use crate::tiers::climb;
 
 /// `sin(pi R)` for exact `R in [0, 1/512]`, as a double-double.
 #[inline]
@@ -99,28 +103,16 @@ pub fn sinpi(x: f32) -> f32 {
     // (the paper's first special class, |x| < 1.17e-7, and smaller).
     if a < 2f64.powi(-36) {
         let (p, e) = two_prod(t::PI_HI, x as f64);
-        return crate::round::round_dd_f32(Dd::new(p, e + t::PI_LO * x as f64));
+        return round_dd_f32(Dd::new(p, e + t::PI_LO * x as f64));
     }
     if is_int_pos(a) {
         return 0.0;
     }
-    let (k, v) = crate::fast::sinpi_prefix_reduced(a);
-    let v = crate::fault::perturb(crate::stats::slot::SINPI, v);
-    if crate::round::f32_round_safe(v, crate::fast::SINPI_PREFIX_BAND) {
-        crate::stats::record_tier_prefix(crate::stats::slot::SINPI);
+    climb::<fast::Sinpi, f32>(slot::SINPI, x as f64, || {
+        let (k, v) = sinpi_kernel(a);
         let neg = (x < 0.0) ^ k;
-        return if neg { -v as f32 } else { v as f32 };
-    }
-    let (k, v) = crate::fast::sinpi_fast_reduced(a);
-    if crate::round::f32_round_safe(v, crate::fast::SINPI_BAND) {
-        crate::stats::record_tier_full(crate::stats::slot::SINPI);
-        let neg = (x < 0.0) ^ k;
-        return if neg { -v as f32 } else { v as f32 };
-    }
-    crate::stats::record_fallback(crate::stats::slot::SINPI);
-    let (k, v) = sinpi_kernel(a);
-    let neg = (x < 0.0) ^ k;
-    crate::round::round_dd_f32(if neg { v.neg() } else { v })
+        round_dd_f32(if neg { v.neg() } else { v })
+    })
 }
 
 /// `sinpi` through the double-double kernel only (no fast path).
@@ -137,14 +129,14 @@ pub fn sinpi_dd(x: f32) -> f32 {
     }
     if a < 2f64.powi(-36) {
         let (p, e) = two_prod(t::PI_HI, x as f64);
-        return crate::round::round_dd_f32(Dd::new(p, e + t::PI_LO * x as f64));
+        return round_dd_f32(Dd::new(p, e + t::PI_LO * x as f64));
     }
     if is_int_pos(a) {
         return 0.0;
     }
     let (k, v) = sinpi_kernel(a);
     let neg = (x < 0.0) ^ k;
-    crate::round::round_dd_f32(if neg { v.neg() } else { v })
+    round_dd_f32(if neg { v.neg() } else { v })
 }
 
 /// Correctly rounded `cos(pi x)` for `f32`.
@@ -204,20 +196,10 @@ pub fn cospi(x: f32) -> f32 {
         }
         return if h & 2 == 0 { 1.0 } else { -1.0 }; // even/odd integer
     }
-    let (neg, v) = crate::fast::cospi_prefix_reduced(a);
-    let v = crate::fault::perturb(crate::stats::slot::COSPI, v);
-    if crate::round::f32_round_safe(v, crate::fast::COSPI_PREFIX_BAND) {
-        crate::stats::record_tier_prefix(crate::stats::slot::COSPI);
-        return if neg { -v as f32 } else { v as f32 };
-    }
-    let (neg, v) = crate::fast::cospi_fast_reduced(a);
-    if crate::round::f32_round_safe(v, crate::fast::COSPI_BAND) {
-        crate::stats::record_tier_full(crate::stats::slot::COSPI);
-        return if neg { -v as f32 } else { v as f32 };
-    }
-    crate::stats::record_fallback(crate::stats::slot::COSPI);
-    let (neg, v) = cospi_kernel(a);
-    crate::round::round_dd_f32(if neg { v.neg() } else { v })
+    climb::<fast::Cospi, f32>(slot::COSPI, a, || {
+        let (neg, v) = cospi_kernel(a);
+        round_dd_f32(if neg { v.neg() } else { v })
+    })
 }
 
 /// `cospi` through the double-double kernel only (no fast path).
@@ -241,7 +223,7 @@ pub fn cospi_dd(x: f32) -> f32 {
         return if h & 2 == 0 { 1.0 } else { -1.0 };
     }
     let (neg, v) = cospi_kernel(a);
-    crate::round::round_dd_f32(if neg { v.neg() } else { v })
+    round_dd_f32(if neg { v.neg() } else { v })
 }
 
 #[cfg(test)]

@@ -15,19 +15,22 @@
 //!
 //! Every function follows the paper's published structure: special-case
 //! filter, range reduction in double, table lookup, short polynomial,
-//! output compensation — evaluated in **two tiers**. Tier 1 (the
-//! private `fast` module) runs that structure in plain double with a statically
-//! derived worst-case error band; a few integer ops on the result's
-//! bit pattern ([`round::f32_round_safe`] / [`round::posit32_round_safe`])
-//! certify the final cast is the correct rounding. The rare inputs
-//! landing inside an unsafe band re-run the double-double kernels
-//! ([`dd`]) with round-to-odd composition ([`round`]) — bit-identical
-//! results, constructive accuracy argument, no double rounding. The
-//! dd-only paths stay exported (`*_dd`) for certification sweeps, the
-//! [`slice`] module batches tier 1 as structure-of-arrays chunks
-//! ([`eval_slice_f32`] / [`eval_slice_posit32`]), and the
-//! `fallback-counters` feature ([`stats`]) counts dd fallbacks for the
-//! bench harnesses.
+//! output compensation — evaluated as a **progressive ladder of three
+//! tiers** ([`tiers`]). The private `fast` module holds one plain-double
+//! kernel per function, written once and generic over the evaluation
+//! lane (scalar `f64`, or four AVX2 lanes with the `simd` feature) and
+//! the tier: tier 0 runs a truncated prefix of the polynomial, tier 1 the
+//! full degree, each with a statically derived worst-case error band. A
+//! few integer ops on the result's bit pattern
+//! ([`round::f32_round_safe`] / [`round::posit32_round_safe`]) certify
+//! the final cast is the correct rounding. The rare inputs both bands
+//! reject re-run the double-double kernels ([`dd`], tier 2) with
+//! round-to-odd composition ([`round`]) — bit-identical results,
+//! constructive accuracy argument, no double rounding. The dd-only paths
+//! stay exported (`*_dd`) for certification sweeps, the [`slice`] module
+//! runs the same kernels over 64-lane chunks ([`eval_slice_f32`] /
+//! [`eval_slice_posit32`]), and the `telemetry` feature ([`stats`])
+//! counts tier outcomes and dd fallbacks for the bench harnesses.
 //!
 //! # Quickstart
 //!
@@ -49,6 +52,7 @@ pub(crate) mod fast;
 pub mod fault;
 pub mod float;
 pub mod half16;
+pub(crate) mod lane;
 pub mod p16;
 pub mod posit;
 pub mod round;

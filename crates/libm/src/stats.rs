@@ -4,9 +4,8 @@
 //! path's safety test rejects a result and the dd kernel re-runs. The
 //! counters live in the workspace-wide `rlibm-obs` registry under
 //! `runtime.fallback.{f32,posit32}.<fn>`, so a telemetry snapshot sees
-//! them next to the generator's metrics; with telemetry off (the
-//! default — the `fallback-counters` feature is now an alias for
-//! `telemetry`) the call compiles to nothing and the shipping library
+//! them next to the generator's metrics; with the `telemetry` feature off
+//! (the default) the call compiles to nothing and the shipping library
 //! carries zero instrumentation cost.
 //!
 //! Only *fallbacks* are counted — never total calls. Fallbacks are a few
@@ -153,8 +152,7 @@ static TIER_DD: [Counter; slot::COUNT] = [
     Counter::new("runtime.tier.dd.posit32.cosh"),
 ];
 
-/// True when the crate was built with runtime telemetry (either the
-/// `telemetry` feature or its `fallback-counters` alias) — callers that
+/// True when the crate was built with the `telemetry` feature — callers that
 /// *measure* rates should assert this so a misconfigured build fails
 /// loudly instead of reporting a silent zero.
 pub fn enabled() -> bool {

@@ -17,8 +17,8 @@
 //!
 //! Unpacking is exact — `tests/table_packing.rs` round-trips every
 //! entry against the pre-packing committed bits — so kernel outputs are
-//! bit-identical to the unpacked era. The AVX2 gather path in
-//! [`crate::slice_simd`] decodes the same layout with vector loads at
+//! bit-identical to the unpacked era. The AVX2 lanes of the fast-path
+//! kernels (`crate::lane`) gather the same layout with vector loads at
 //! byte offsets `15n` / `15n + 7`.
 //!
 //! Regenerate the pin (after an intentional oracle/packing change) with
@@ -27,6 +27,36 @@
 use crate::tables_codec as codec;
 
 include!(concat!(env!("OUT_DIR"), "/packed_tables.rs"));
+
+/// A packed table as the lane kernels ([`crate::fast`]) index it.
+#[derive(Clone, Copy)]
+pub(crate) struct Table {
+    pub bytes: &'static [u8],
+    pub hi_base: u64,
+    pub lo_base: u64,
+    /// Read entry `256 - n` for index `n`: the cospi view of the sinpi
+    /// table.
+    pub mirror: bool,
+}
+
+impl Table {
+    /// Entry position of (possibly mirrored) index `i`.
+    #[inline(always)]
+    pub(crate) fn index(&self, i: i64) -> usize {
+        (if self.mirror { 256 - i } else { i }) as usize
+    }
+}
+
+const fn table(bytes: &'static [u8], hi_base: u64, lo_base: u64, mirror: bool) -> Table {
+    Table { bytes, hi_base, lo_base, mirror }
+}
+
+pub(crate) const EXP2_64: Table = table(&EXP2_64_P, EXP2_64_HI_BASE, EXP2_64_LO_BASE, false);
+pub(crate) const LN_F: Table = table(&LN_F_P, LN_F_HI_BASE, LN_F_LO_BASE, false);
+pub(crate) const LOG2_F: Table = table(&LOG2_F_P, LOG2_F_HI_BASE, LOG2_F_LO_BASE, false);
+pub(crate) const LOG10_F: Table = table(&LOG10_F_P, LOG10_F_HI_BASE, LOG10_F_LO_BASE, false);
+pub(crate) const SINPI_T: Table = table(&SINPI_T_P, SINPI_T_HI_BASE, SINPI_T_LO_BASE, false);
+pub(crate) const COSPI_T: Table = table(&SINPI_T_P, SINPI_T_HI_BASE, SINPI_T_LO_BASE, true);
 
 /// `2^(j/64)` for `j in 0..64`, as a hi/lo double-double pair.
 #[inline(always)]
@@ -65,49 +95,6 @@ pub fn cospi_t(n: usize) -> (f64, f64) {
     sinpi_t(256 - n)
 }
 
-// Hi-word-only accessors — the prefix tier's table reads. Every prefix
-// band dwarfs the lo column's contribution (at most ~1 f64 ulp of the
-// hi word, amplified to a few hundred 2^-53 units by the log family's
-// post-fold cancellation floor — see the tier-0 band notes in
-// `crate::fast`), so tier 0 decodes a single u64 per entry and touches
-// half the packed bytes. The full tier keeps the exact hi/lo pairs.
-
-/// Hi word only of [`exp2_64`].
-#[inline(always)]
-pub fn exp2_64_hi(j: usize) -> f64 {
-    codec::unpack_hi(&EXP2_64_P, j, EXP2_64_HI_BASE)
-}
-
-/// Hi word only of [`ln_f`].
-#[inline(always)]
-pub fn ln_f_hi(j: usize) -> f64 {
-    codec::unpack_hi(&LN_F_P, j, LN_F_HI_BASE)
-}
-
-/// Hi word only of [`log2_f`].
-#[inline(always)]
-pub fn log2_f_hi(j: usize) -> f64 {
-    codec::unpack_hi(&LOG2_F_P, j, LOG2_F_HI_BASE)
-}
-
-/// Hi word only of [`log10_f`].
-#[inline(always)]
-pub fn log10_f_hi(j: usize) -> f64 {
-    codec::unpack_hi(&LOG10_F_P, j, LOG10_F_HI_BASE)
-}
-
-/// Hi word only of [`sinpi_t`].
-#[inline(always)]
-pub fn sinpi_t_hi(n: usize) -> f64 {
-    codec::unpack_hi(&SINPI_T_P, n, SINPI_T_HI_BASE)
-}
-
-/// Hi word only of [`cospi_t`] (mirror of [`sinpi_t_hi`]).
-#[inline(always)]
-pub fn cospi_t_hi(n: usize) -> f64 {
-    sinpi_t_hi(256 - n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,19 +123,28 @@ mod tests {
         }
     }
 
+    /// The kernels' table descriptors read the same entries as the pair
+    /// accessors (the cospi view through the mirror), and the prefix
+    /// tier's hi-only read matches the pair's hi word.
     #[test]
-    fn hi_accessors_match_pair_hi() {
-        for j in 0..64 {
-            assert_eq!(exp2_64_hi(j).to_bits(), exp2_64(j).0.to_bits());
-        }
-        for j in 0..=128 {
-            assert_eq!(ln_f_hi(j).to_bits(), ln_f(j).0.to_bits());
-            assert_eq!(log2_f_hi(j).to_bits(), log2_f(j).0.to_bits());
-            assert_eq!(log10_f_hi(j).to_bits(), log10_f(j).0.to_bits());
-        }
-        for n in 0..=256 {
-            assert_eq!(sinpi_t_hi(n).to_bits(), sinpi_t(n).0.to_bits());
-            assert_eq!(cospi_t_hi(n).to_bits(), cospi_t(n).0.to_bits());
+    fn descriptors_match_pair_accessors() {
+        use crate::lane::Lane;
+        type Pair = fn(usize) -> (f64, f64);
+        let tables: [(Table, Pair, usize); 6] = [
+            (EXP2_64, exp2_64, 63),
+            (LN_F, ln_f, 128),
+            (LOG2_F, log2_f, 128),
+            (LOG10_F, log10_f, 128),
+            (SINPI_T, sinpi_t, 256),
+            (COSPI_T, cospi_t, 256),
+        ];
+        for (table, pair, last) in tables {
+            for i in 0..=last {
+                let (hi, lo) = pair(i);
+                let (ghi, glo) = f64::gather_pair(&table, i as i64);
+                assert_eq!((ghi.to_bits(), glo.to_bits()), (hi.to_bits(), lo.to_bits()));
+                assert_eq!(f64::gather_hi(&table, i as i64).to_bits(), hi.to_bits());
+            }
         }
     }
 
