@@ -79,6 +79,23 @@ echo "== simd feature leg: build, bit-identity matrix, clippy =="
 # `simd` on. Clippy with the feature keeps the intrinsics cfg
 # warning-clean.
 cargo build --workspace --release --offline --features rlibm/simd,rlibm-bench/simd
+# Codegen guard for the AVX2 driver. Each (kernel, format) pair gets its
+# own `#[target_feature(enable = "avx2")]` driver instantiation, and
+# when a kernel is instantiated more than once LLVM may outline the
+# closures it passes to `Lane::select_with` — compiled WITHOUT AVX2, so
+# every F64x4 operation inside becomes a call (the f32 sinh/cosh slices
+# measured ~17x slower that way, with every bit still right, so no
+# identity test can notice). serve_bench links both the f32 and the
+# posit32 slices; any call to a core::arch intrinsic in it (std's
+# `_xgetbv` in feature detection excepted) fails the leg.
+OUTLINED=$(objdump -d --no-show-raw-insn -C target/release/serve_bench \
+    | grep -E '\scall' | grep -F '<core::core_arch::x86' | grep -vF '_xgetbv>' || true)
+if [ -n "$OUTLINED" ]; then
+    echo "FAIL: AVX2 intrinsics compiled as out-of-line calls:"
+    echo "$OUTLINED" | head -20
+    exit 1
+fi
+echo "no outlined AVX2 intrinsic calls in serve_bench"
 cargo test -q --offline --release -p rlibm --features simd --test two_tier_identity
 cargo test -q --offline --release -p rlibm-math --features simd
 cargo test -q --offline --release -p rlibm-serve --features simd

@@ -455,10 +455,12 @@ impl Kernel for Sinh {
         let a = x.abs();
         let v = L::select_with(
             a.below(0.0625),
+            #[inline(always)]
             || {
                 let x2 = a * a;
                 a + a * x2 * horner(x2, &SINH_TAYLOR)
             },
+            #[inline(always)]
             || {
                 let big = Exp::eval::<L, FULL>(a);
                 (big - L::splat(1.0) / big) * 0.5
@@ -483,7 +485,9 @@ impl Kernel for Cosh {
         let a = x.abs();
         L::select_with(
             a.below(0.0625),
+            #[inline(always)]
             || horner(a * a, &COSH_TAYLOR),
+            #[inline(always)]
             || {
                 let big = Exp::eval::<L, FULL>(a);
                 (big + L::splat(1.0) / big) * 0.5
@@ -580,7 +584,9 @@ impl Kernel for Cospi {
         let n = L::int_min(n512.trunc_int(), 255);
         let v = L::select_with(
             n512.below(1.0), // N == 0
+            #[inline(always)]
             || cospi_poly::<L, FULL>(lp),
+            #[inline(always)]
             || {
                 let np = L::int_add(n, 1);
                 let r = L::from_int(np) / 512.0 - lp; // exact

@@ -8,22 +8,27 @@
 //!
 //! * `f64` — one lane, the scalar front ends and the portable slice
 //!   driver. Every method is the plain scalar operation (real branches,
-//!   `round_ties_even() as i64`, the `tables_codec` accessors), so the
-//!   `f64` instantiation *is* the scalar kernel.
+//!   round-to-integer by adding and subtracting 1.5·2^52, the
+//!   `tables_codec` accessors), so the `f64` instantiation *is* the
+//!   scalar kernel. No method calls into libm: on the baseline x86-64
+//!   target `round_ties_even` and `floor` would each be a call.
 //! * [`avx2::F64x4`] (`simd` feature, x86_64) — four lanes in one
 //!   `__m256d`. Every method is `#[inline(always)]` and is only reached
 //!   from the `#[target_feature(enable = "avx2")]` slice driver, so the
-//!   whole kernel inlines into straight AVX2 code.
+//!   whole kernel inlines into straight AVX2 code. Closures a kernel
+//!   passes to [`Lane::select_with`] are `#[inline(always)]` too: once
+//!   a kernel has several driver instantiations (one per format), LLVM
+//!   otherwise outlines them without AVX2 and every op becomes a call.
 //!
 //! # Bit identity
 //!
 //! Both lanes execute the same IEEE-754 operation sequence per lane: the
 //! kernels use plain mul/add (no FMA contraction), `cvtpd_epi32` rounds
-//! ties-to-even under Rust's default MXCSR exactly like
-//! `round_ties_even`, `cvttpd_epi32` truncates like the `as` cast on the
-//! non-negative values the trig reductions feed it, and a select
-//! computes each side with the ops the scalar branch runs. The tests in
-//! `avx2` check every kernel at both tiers lane by lane.
+//! ties-to-even under Rust's default MXCSR exactly like the scalar
+//! lane's magic-constant rounding, `cvttpd_epi32` truncates like the
+//! `as` cast on the non-negative values the trig reductions feed it,
+//! and a select computes each side with the ops the scalar branch runs.
+//! The tests in `avx2` check every kernel at both tiers lane by lane.
 
 use core::ops::{Add, BitAnd, BitXor, Div, Mul, Sub};
 
@@ -50,8 +55,6 @@ pub(crate) trait Lane:
     type M: Copy + BitAnd<Output = Self::M> + BitXor<Output = Self::M>;
 
     fn splat(v: f64) -> Self;
-    /// Widens the first `WIDTH` values of `xs` (exact).
-    fn widen(xs: &[f32]) -> Self;
     /// Loads the first `WIDTH` values of `y`.
     fn load(y: &[f64]) -> Self;
     /// Stores into the first `WIDTH` slots of `y`.
@@ -66,6 +69,8 @@ pub(crate) trait Lane:
     fn select(m: Self::M, a: Self, b: Self) -> Self;
     /// [`Lane::select`] for expensive sides: the scalar lane evaluates
     /// only the side it takes, a vector lane evaluates both and blends.
+    /// Callers mark both closures `#[inline(always)]` (see the module
+    /// docs).
     fn select_with(m: Self::M, a: impl FnOnce() -> Self, b: impl FnOnce() -> Self) -> Self;
     /// `-self` where `m` (a sign flip).
     fn neg_where(self, m: Self::M) -> Self;
@@ -94,9 +99,13 @@ pub(crate) trait Lane:
     fn gather_pair(t: &Table, i: Self::I) -> (Self, Self);
     /// [`crate::round::f32_round_safe`] per lane.
     fn f32_round_safe(self, band: u64) -> Self::M;
+    /// [`crate::round::posit32_round_safe`] per lane.
+    fn posit32_round_safe(self, band: u64) -> Self::M;
 }
 
 const MANT_MASK: u64 = 0x000F_FFFF_FFFF_FFFF;
+/// `1.5·2^52`: the f64 whose ulp is 1 over `[2^52, 2^53)`.
+const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
 const ONE_BITS: u64 = 0x3FF0_0000_0000_0000;
 
 /// Emits `#[inline(always)]` one-line methods.
@@ -115,7 +124,6 @@ impl Lane for f64 {
 
     one_liners! {
         fn splat(v: f64) -> f64 { v }
-        fn widen(xs: &[f32]) -> f64 { xs[0] as f64 }
         fn load(y: &[f64]) -> f64 { y[0] }
         fn store(self, y: &mut [f64]) { y[0] = self }
         fn below(self, c: f64) -> bool { self < c }
@@ -130,7 +138,10 @@ impl Lane for f64 {
         // An integer-cast round trip: `f64::floor` is a libm call on the
         // baseline x86-64 target (no SSE4.1 `roundsd`), two converts are not.
         fn floor_pos(self) -> f64 { (self as u64) as f64 }
-        fn round_int(self) -> i64 { self.round_ties_even() as i64 }
+        // Adding and subtracting 1.5·2^52 rounds to an integer, ties to
+        // even, for |self| < 2^51: `round_ties_even` is a `rint` call on
+        // the baseline target, as `floor` is above.
+        fn round_int(self) -> i64 { ((self + ROUND_MAGIC) - ROUND_MAGIC) as i64 }
         fn trunc_int(self) -> i64 { self as i64 }
         fn from_int(i: i64) -> f64 { i as f64 }
         fn int_add(i: i64, c: i32) -> i64 { i + c as i64 }
@@ -143,6 +154,7 @@ impl Lane for f64 {
         fn gather_hi(t: &Table, i: i64) -> f64 { codec::unpack_hi(t.bytes, t.index(i), t.hi_base) }
         fn gather_pair(t: &Table, i: i64) -> (f64, f64) { codec::unpack_entry(t.bytes, t.index(i), t.hi_base, t.lo_base) }
         fn f32_round_safe(self, band: u64) -> bool { crate::round::f32_round_safe(self, band) }
+        fn posit32_round_safe(self, band: u64) -> bool { crate::round::posit32_round_safe(self, band) }
     }
 }
 
@@ -256,11 +268,6 @@ pub(crate) mod avx2 {
         #[inline(always)]
         fn splat(v: f64) -> F64x4 {
             F64x4(unsafe { _mm256_set1_pd(v) })
-        }
-        #[inline(always)]
-        fn widen(xs: &[f32]) -> F64x4 {
-            let xs = &xs[..4];
-            F64x4(unsafe { _mm256_cvtps_pd(_mm_loadu_ps(xs.as_ptr())) })
         }
         #[inline(always)]
         fn load(y: &[f64]) -> F64x4 {
@@ -417,6 +424,35 @@ pub(crate) mod avx2 {
                 M4(_mm256_castsi256_pd(_mm256_and_si256(in_range, far)))
             }
         }
+        /// The scalar test on four lanes with per-lane shifts: biased
+        /// exponent `be` in `911..=1134` (`e` in `-112..=111`), regime
+        /// `k = floor(e / 4) = ((be + 1) >> 2) - 256`, and the fraction
+        /// below bit `25 + (k ^ (k >> 63))` farther than `band` from its
+        /// midpoint. Out-of-range lanes may shift by 64 or more (giving
+        /// zero), and are masked off.
+        #[inline(always)]
+        fn posit32_round_safe(self, band: u64) -> M4 {
+            debug_assert!(band < (1 << 26));
+            unsafe {
+                let one = _mm256_set1_epi64x(1);
+                let bits = _mm256_and_si256(_mm256_castpd_si256(self.0), _mm256_set1_epi64x(i64::MAX));
+                let be = _mm256_srli_epi64::<52>(bits);
+                let in_range = _mm256_and_si256(
+                    _mm256_cmpgt_epi64(be, _mm256_set1_epi64x(910)),
+                    _mm256_cmpgt_epi64(_mm256_set1_epi64x(1135), be),
+                );
+                let k = _mm256_sub_epi64(_mm256_srli_epi64::<2>(_mm256_add_epi64(be, one)), _mm256_set1_epi64x(256));
+                let run = _mm256_xor_si256(k, _mm256_cmpgt_epi64(_mm256_setzero_si256(), k));
+                let shift = _mm256_add_epi64(run, _mm256_set1_epi64x(25));
+                let frac = _mm256_and_si256(bits, _mm256_sub_epi64(_mm256_sllv_epi64(one, shift), one));
+                let half = _mm256_sllv_epi64(one, _mm256_sub_epi64(shift, one));
+                let far = _mm256_or_si256(
+                    _mm256_cmpgt_epi64(frac, _mm256_add_epi64(half, _mm256_set1_epi64x(band as i64))),
+                    _mm256_cmpgt_epi64(_mm256_sub_epi64(half, _mm256_set1_epi64x(band as i64)), frac),
+                );
+                M4(_mm256_castsi256_pd(_mm256_and_si256(in_range, far)))
+            }
+        }
     }
 
     /// Runtime gate for the AVX2 lanes (cached by std).
@@ -435,7 +471,8 @@ pub(crate) mod avx2 {
         /// the domain, kernel, domain and round-safe masks.
         #[inline(always)]
         fn stage<L: Lane, K: Kernel, const FULL: bool>(xs: &[f32], y: &mut [f64]) -> (u64, u64) {
-            let x = L::widen(xs);
+            let xd: Vec<f64> = xs.iter().take(L::WIDTH).map(|&x| f64::from(x)).collect();
+            let x = L::load(&xd);
             let m = K::domain(x);
             let v = K::eval::<L, FULL>(L::select(m, x, L::splat(1.0)));
             v.store(y);
@@ -516,13 +553,16 @@ pub(crate) mod avx2 {
         }
 
         #[target_feature(enable = "avx2")]
-        unsafe fn round_safe4(y: &[f64; 4], band: u64) -> u64 {
-            F64x4::bits(F64x4::load(y).f32_round_safe(band))
+        unsafe fn round_safe4(y: &[f64; 4], band: u64) -> (u64, u64) {
+            let v = F64x4::load(y);
+            (F64x4::bits(v.f32_round_safe(band)), F64x4::bits(v.posit32_round_safe(band)))
         }
 
-        /// The vectorized safety mask agrees with the scalar predicate on
-        /// every lane for random doubles and for values planted exactly at
-        /// band edges.
+        /// The vectorized safety masks agree with the scalar predicates on
+        /// every lane for random doubles, for values planted exactly at and
+        /// next to band edges (the f32 midpoint near 1, and the posit32
+        /// midpoint of every regime from `e = -113` to `e = 112`), and for
+        /// specials.
         #[test]
         fn round_safe_mask_matches_scalar_predicate() {
             if !available() {
@@ -530,31 +570,68 @@ pub(crate) mod avx2 {
             }
             let mut rng = XorShift64::new(0xBEEF_CAFE);
             let mid = 1.0 + 2f64.powi(-24);
-            for band in [0u64, 16, 256, 1024, 2048] {
+            for band in [0u64, 16, 256, 1024, 2048, 16384, 1 << 19] {
                 for trial in 0..3200 {
+                    // A posit32 midpoint: half a quantum above 2^e's pattern
+                    // (`shift = 25 + regime run` low fraction bits).
+                    let e = (trial % 226) as i64 - 113;
+                    let k = e.div_euclid(4);
+                    let shift = 25 + (k ^ (k >> 63)).clamp(0, 27) as u32;
+                    let pmid = ((e + 1023) as u64) << 52 | (1 << (shift - 1));
                     let mut y = [0.0f64; 4];
                     for (i, lane) in y.iter_mut().enumerate() {
-                        *lane = match (trial + i) % 5 {
+                        *lane = match (trial + i) % 7 {
                             0 => f64::from_bits(rng.next_u64()),
                             1 => rng.uniform_f64(1.0, 2.0) * rng.uniform_f64(-130.0, 130.0).exp2(),
                             // Exactly on / next to a midpoint band edge.
                             2 => f64::from_bits(mid.to_bits() + band),
                             3 => f64::from_bits(mid.to_bits() + band + 1),
+                            4 => -f64::from_bits(pmid + band + (trial as u64 & 1)),
+                            5 => f64::from_bits(pmid - band - (trial as u64 & 1)),
                             _ => [0.0, f64::NAN, f64::INFINITY, 2f64.powi(-127), -1.5][trial % 5],
                         };
                     }
                     // SAFETY: AVX2 checked above.
-                    let mask = unsafe { round_safe4(&y, band) };
+                    let (f32_mask, posit_mask) = unsafe { round_safe4(&y, band) };
                     for (i, &v) in y.iter().enumerate() {
+                        let at = format!("band {band}, lane {i}, y = {v:e} ({:#018x})", v.to_bits());
+                        assert_eq!((f32_mask >> i) & 1 == 1, crate::round::f32_round_safe(v, band), "f32 {at}");
                         assert_eq!(
-                            (mask >> i) & 1 == 1,
-                            crate::round::f32_round_safe(v, band),
-                            "band {band}, lane {i}, y = {v:e} ({:#018x})",
-                            v.to_bits()
+                            (posit_mask >> i) & 1 == 1,
+                            crate::round::posit32_round_safe(v, band),
+                            "posit32 {at}"
                         );
                     }
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Lane;
+    use rlibm_fp::rng::XorShift64;
+
+    /// The f64 lane's add/subtract rounding gives `round_ties_even` on the
+    /// ranges the kernels round: exp-family `k` (|x·64·log2 b| up to
+    /// ~2^14) and the log reduction's `j` in `0..=128`, with every ±.5 tie
+    /// there and random values between.
+    #[test]
+    fn round_int_matches_round_ties_even() {
+        let check = |v: f64| assert_eq!(v.round_int(), v.round_ties_even() as i64, "v = {v:e}");
+        for i in -20_000..=20_000 {
+            let v = f64::from(i);
+            for d in [0.0, 0.5, -0.5, 0.25, 0.75] {
+                check(v + d);
+            }
+            check(f64::from_bits((v + 0.5).to_bits() + 1));
+            check(f64::from_bits((v + 0.5).to_bits() - 1));
+        }
+        let mut rng = XorShift64::new(0x0D15_EA5E);
+        for _ in 0..200_000 {
+            check(rng.uniform_f64(-20_000.0, 20_000.0));
+            check(rng.uniform_f64(0.0, 128.5));
         }
     }
 }

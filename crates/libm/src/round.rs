@@ -113,8 +113,10 @@ pub fn posit32_round_safe(y: f64, band: u64) -> bool {
     if !(-112..=111).contains(&e) {
         return false; // covers zero (e = -1023) and non-finite too
     }
-    let k = e.div_euclid(4);
-    let regime_len = if k >= 0 { k as u64 + 2 } else { (-k) as u64 + 1 };
+    // Regime k = floor(e / 4) takes `k + 2` bits (k >= 0) or `1 - k`
+    // bits (k < 0): `(k ^ (k >> 63)) + 2` either way, without a branch.
+    let k = e >> 2;
+    let regime_len = ((k ^ (k >> 63)) + 2) as u64;
     let frac_bits = 29 - regime_len; // 0..=27 within the accepted range
     let shift = 52 - frac_bits;
     let frac = bits & ((1u64 << shift) - 1);
@@ -264,6 +266,30 @@ mod tests {
         assert!(posit32_round_safe(-1.5, 4096));
         // A posit32 midpoint near 1.0: quantum 2^-27, midpoint 1 + 2^-28.
         assert!(!posit32_round_safe(1.0 + 2f64.powi(-28), 0));
+    }
+
+    /// In every binade the test accepts, its midpoint position is the
+    /// posit grid's: the midpoint between `2^e` and the next posit up is
+    /// rejected at band 0, and the doubles `band + 1` units either side
+    /// of it are accepted at `band`.
+    #[test]
+    fn posit_safe_midpoints_follow_the_regime() {
+        use rlibm_posit::Posit32;
+        for e in -112..=111 {
+            let p = Posit32::from_f64(2f64.powi(e));
+            assert_eq!(p.to_f64(), 2f64.powi(e));
+            let next = Posit32::from_bits(p.to_bits() + 1).to_f64();
+            let mid = (p.to_f64() + next) / 2.0;
+            assert!(!posit32_round_safe(mid, 0), "e = {e}: midpoint {mid:e} accepted");
+            for band in [0u64, 256, 16384] {
+                for m in [mid, -mid] {
+                    let above = f64::from_bits(m.to_bits() + band + 1);
+                    let below = f64::from_bits(m.to_bits() - band - 1);
+                    assert!(posit32_round_safe(above, band), "e = {e}, band {band}: {above:e}");
+                    assert!(posit32_round_safe(below, band), "e = {e}, band {band}: {below:e}");
+                }
+            }
+        }
     }
 
     #[test]

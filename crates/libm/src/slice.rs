@@ -1,63 +1,67 @@
 //! Batched evaluation — the §4.3 vectorization regime as a real API.
 //!
-//! [`eval_slice_f32`] (and the per-function `*_slice` entry points)
-//! evaluate a whole input slice with the same progressive-tier guarantee
-//! as the scalar functions: the output is **bit-identical** to mapping
-//! the scalar function over the slice. One chunk driver serves every
-//! function, over 64-lane chunks:
+//! [`eval_slice_f32`] and [`eval_slice_posit32`] (and the per-function
+//! f32 `*_slice` entry points) evaluate a whole input slice with the same
+//! progressive-tier guarantee as the scalar functions: the output is
+//! **bit-identical** to mapping the scalar function over the slice. One
+//! chunk driver serves every function and both formats, over 64-lane
+//! chunks:
 //!
-//! 1. **stage**: per lane group, widen the f32 inputs, classify them
-//!    against the function's fast-path domain ([`Kernel::domain`]; other
-//!    lanes get the placeholder 1.0 so the arithmetic stays total), run
-//!    the *prefix*-tier kernel and test each result against the wide
-//!    prefix band;
-//! 2. **resolve**: accepted lanes ship the prefix double; special lanes
-//!    re-enter the scalar front end, which owns the dd tier;
-//! 3. **escalate**: the lane groups holding in-domain lanes the prefix
+//! 1. **widen**: decode each lane into a staged f64 buffer ([`Target`]:
+//!    the exact f32 widening, or the posit32 decode);
+//! 2. **stage**: per lane group, classify the staged values against the
+//!    function's fast-path domain ([`Kernel::domain`]; other lanes get the
+//!    placeholder 1.0 so the arithmetic stays total), run the
+//!    *prefix*-tier kernel and test each result against the wide prefix
+//!    band with the format's round-safety test;
+//! 3. **resolve**: accepted lanes round the prefix double into the format
+//!    per lane; lanes outside the domain re-enter the scalar front end,
+//!    which owns specials (NaN/NaR, zeros, infinities, posit saturation)
+//!    and the dd tier;
+//! 4. **escalate**: the lane groups holding in-domain lanes the prefix
 //!    band rejected re-run the full-degree kernel against the narrow full
 //!    band, and lanes that band rejects too re-enter the scalar front end.
 //!
 //! The kernels are the ones the scalar front ends run ([`crate::fast`]),
 //! instantiated over a [`Lane`]. With the `simd` feature on an AVX2 CPU
 //! the driver runs four-lane groups of [`F64x4`] inside one
-//! `#[target_feature(enable = "avx2")]` function, so every kernel,
-//! gather and mask inlines into straight AVX2 code; otherwise it runs
-//! one-lane `f64` groups. Both produce the same bits (`crate::lane`).
+//! `#[target_feature(enable = "avx2")]` function per (kernel, format), so
+//! every kernel, gather and mask inlines into straight AVX2 code;
+//! otherwise it runs one-lane `f64` groups. Both produce the same bits
+//! (`crate::lane`). A kernel instantiated by more than one driver must
+//! mark the closures it passes to [`Lane::select_with`]
+//! `#[inline(always)]`: LLVM otherwise outlines them, without AVX2, and
+//! every `F64x4` operation inside becomes a call.
+//!
 //! Per-tier accounting lands in the same `runtime.tier.*` counters the
 //! scalar front ends use: prefix and full acceptances batched per call,
 //! dd events recorded by the scalar entry the rescalar lanes fall into.
 //! The `fault` feature's injection sites live in the scalar front ends;
 //! the staged lanes bypass them and rescalar lanes re-enter them.
-//!
-//! Posit32 batching ([`eval_slice_posit32`]) is a chunked scalar loop:
-//! posit decode/encode is regime-dependent bit manipulation with no
-//! shared stage structure to hoist, so the honest batched form is the
-//! scalar two-tier call per lane.
 
 use crate::fast::{self, Kernel};
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 use crate::lane::avx2::{self, F64x4};
 use crate::lane::Lane;
 use crate::stats::slot;
+use crate::tiers::Target;
 use rlibm_obs::Counter;
+use rlibm_posit::Posit32;
 
 /// Chunk width of the driver. 64 lanes of f64 is 4 cache lines of
 /// staged results, and one `u64` holds a chunk's lane mask.
 const LANES: usize = 64;
 
 // Batched-evaluation telemetry (no-ops unless built with the `telemetry`
-// feature). Both counters accumulate locally and hit the atomics once per
-// call, never per lane. The rescalar count is the number to watch: every
-// rescalar lane pays the scalar two-tier price, so a high ratio against
-// `64 * chunks` means the workload defeats the staging.
+// feature). The counters accumulate locally and hit the atomics once per
+// call, never per lane. The rescalar counts are the numbers to watch:
+// every rescalar lane pays the scalar two-tier price, so a high ratio
+// against `64 * chunks` means the workload defeats the staging.
 static SLICE_CHUNKS: Counter = Counter::new("runtime.slice.f32.chunks");
 static SLICE_RESCALAR: Counter = Counter::new("runtime.slice.f32.rescalar_lanes");
-
-// Posit batching has no staged pipeline (and so no rescalar lanes), but
-// serving-layer posit traffic still needs to show up in TELEM snapshots:
-// chunks processed and total requests (lanes) served.
 static SLICE_POSIT_CHUNKS: Counter = Counter::new("runtime.slice.posit32.chunks");
 static SLICE_POSIT_REQUESTS: Counter = Counter::new("runtime.slice.posit32.requests");
+static SLICE_POSIT_RESCALAR: Counter = Counter::new("runtime.slice.posit32.rescalar_lanes");
 
 /// Forces the slice counters into the snapshot registry at value zero.
 pub(crate) fn register_metrics() {
@@ -65,6 +69,7 @@ pub(crate) fn register_metrics() {
     SLICE_RESCALAR.register();
     SLICE_POSIT_CHUNKS.register();
     SLICE_POSIT_REQUESTS.register();
+    SLICE_POSIT_RESCALAR.register();
 }
 
 /// Resolves one rescalar lane through the scalar two-tier entry. With
@@ -76,30 +81,30 @@ pub(crate) fn register_metrics() {
 /// identically in both configs — tracing observes, never alters.
 #[cfg(feature = "telemetry")]
 #[inline]
-fn rescalar_resolve(scalar: fn(f32) -> f32, x: f32) -> f32 {
+fn rescalar_resolve<T: Target>(scalar: fn(T) -> T, x: T) -> T {
     let t0 = std::time::Instant::now();
     let v = scalar(x);
     let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    rlibm_obs::trace::rescalar_exemplar(x.to_bits(), ns);
+    rlibm_obs::trace::rescalar_exemplar(x.to_bits_u32(), ns);
     v
 }
 
 #[cfg(not(feature = "telemetry"))]
 #[inline(always)]
-fn rescalar_resolve(scalar: fn(f32) -> f32, x: f32) -> f32 {
+fn rescalar_resolve<T: Target>(scalar: fn(T) -> T, x: T) -> T {
     scalar(x)
 }
 
 /// One tier over a chunk: for every `L::WIDTH`-lane group holding a lane
-/// of `need`, widen, substitute the placeholder outside the domain and
-/// run the kernel (skipped groups keep their `y`); then test every
-/// result against `band`. Returns the domain mask (zero for skipped
-/// groups) and the round-safe mask. The safety test runs as a second
-/// pass over the stored results: fusing it into the kernel loop measured
-/// ~10% slower on the AVX2 lanes.
+/// of `need`, substitute the placeholder outside the domain and run the
+/// kernel on the staged inputs `xd` (skipped groups keep their `y`);
+/// then test every result against `band`. Returns the domain mask (zero
+/// for skipped groups) and the round-safe mask. The safety test runs as
+/// a second pass over the stored results: fusing it into the kernel loop
+/// measured ~10% slower on the AVX2 lanes.
 #[inline(always)]
-fn stage<L: Lane, K: Kernel, const FULL: bool>(
-    xs: &[f32; LANES],
+fn stage<L: Lane, K: Kernel, T: Target, const FULL: bool>(
+    xd: &[f64; LANES],
     y: &mut [f64; LANES],
     need: u64,
     band: u64,
@@ -111,7 +116,7 @@ fn stage<L: Lane, K: Kernel, const FULL: bool>(
         if (need >> lo) & group == 0 {
             continue;
         }
-        let x = L::widen(&xs[lo..]);
+        let x = L::load(&xd[lo..]);
         let m = K::domain(x);
         let v = K::eval::<L, FULL>(L::select(m, x, L::splat(1.0)));
         v.store(&mut y[lo..]);
@@ -120,38 +125,41 @@ fn stage<L: Lane, K: Kernel, const FULL: bool>(
     let mut safe = 0u64;
     for g in 0..LANES / L::WIDTH {
         let lo = g * L::WIDTH;
-        safe |= L::bits(L::load(&y[lo..]).f32_round_safe(band)) << lo;
+        safe |= L::bits(T::round_safe(L::load(&y[lo..]), band)) << lo;
     }
     (dom, safe)
 }
 
-/// The chunk driver (see the module docs), generic over the lane width.
+/// What one [`drive`] call did, for the caller's slice counters.
+struct Tally {
+    chunks: u64,
+    rescalar: u64,
+}
+
+/// The chunk driver (see the module docs), generic over the lane width
+/// and the format.
 #[inline(always)]
-fn drive<L: Lane, K: Kernel>(xs: &[f32], out: &mut [f32], slot: usize, scalar: fn(f32) -> f32) {
+fn drive<L: Lane, K: Kernel, T: Target>(xs: &[T], out: &mut [T], slot: usize, scalar: fn(T) -> T) -> Tally {
     assert_eq!(xs.len(), out.len(), "eval_slice: input/output length mismatch");
     let (prefix_band, band) = K::BANDS;
+    // Lanes past a partial last chunk keep earlier (or placeholder)
+    // values: they are computed with their group and never read back.
+    let mut xd = [1.0f64; LANES];
     let mut y = [0.0f64; LANES];
-    let mut xpad = [1.0f32; LANES];
     let (mut chunks, mut rescalar, mut prefix_hits, mut full_hits) = (0u64, 0u64, 0u64, 0u64);
     for (xc, oc) in xs.chunks(LANES).zip(out.chunks_mut(LANES)) {
         chunks += 1;
         let n = xc.len();
-        let xs: &[f32; LANES] = match xc.try_into() {
-            Ok(full) => full,
-            Err(_) => {
-                // Partial last chunk: pad with the placeholder; pad lanes
-                // are never read back.
-                xpad[..n].copy_from_slice(xc);
-                &xpad
-            }
-        };
+        for (d, &x) in xd.iter_mut().zip(xc) {
+            *d = x.widen();
+        }
         let live = u64::MAX >> (64 - n);
-        let (dom, safe) = stage::<L, K, false>(xs, &mut y, live, prefix_band);
+        let (dom, safe) = stage::<L, K, T, false>(&xd, &mut y, live, prefix_band);
         let ok = dom & safe & live;
         prefix_hits += u64::from(ok.count_ones());
         for i in 0..n {
             if (ok >> i) & 1 == 1 {
-                oc[i] = y[i] as f32;
+                oc[i] = T::from_safe(y[i]);
             } else if (dom >> i) & 1 == 0 {
                 rescalar += 1;
                 oc[i] = rescalar_resolve(scalar, xc[i]);
@@ -160,11 +168,11 @@ fn drive<L: Lane, K: Kernel>(xs: &[f32], out: &mut [f32], slot: usize, scalar: f
         // In-domain lanes the prefix band rejected (well under 1%).
         let pending = dom & !safe & live;
         if pending != 0 {
-            let (_, safe) = stage::<L, K, true>(xs, &mut y, pending, band);
+            let (_, safe) = stage::<L, K, T, true>(&xd, &mut y, pending, band);
             full_hits += u64::from((pending & safe).count_ones());
             for i in (0..n).filter(|i| (pending >> i) & 1 == 1) {
                 if (safe >> i) & 1 == 1 {
-                    oc[i] = y[i] as f32;
+                    oc[i] = T::from_safe(y[i]);
                 } else {
                     rescalar += 1;
                     oc[i] = rescalar_resolve(scalar, xc[i]);
@@ -172,10 +180,9 @@ fn drive<L: Lane, K: Kernel>(xs: &[f32], out: &mut [f32], slot: usize, scalar: f
             }
         }
     }
-    SLICE_CHUNKS.add(chunks);
-    SLICE_RESCALAR.add(rescalar);
     crate::stats::record_tier_prefix_n(slot, prefix_hits);
     crate::stats::record_tier_full_n(slot, full_hits);
+    Tally { chunks, rescalar }
 }
 
 /// [`drive`] over [`F64x4`] lanes.
@@ -184,68 +191,75 @@ fn drive<L: Lane, K: Kernel>(xs: &[f32], out: &mut [f32], slot: usize, scalar: f
 /// Requires AVX2.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
-unsafe fn drive_avx2<K: Kernel>(xs: &[f32], out: &mut [f32], slot: usize, scalar: fn(f32) -> f32) {
-    drive::<F64x4, K>(xs, out, slot, scalar)
+unsafe fn drive_avx2<K: Kernel, T: Target>(xs: &[T], out: &mut [T], slot: usize, scalar: fn(T) -> T) -> Tally {
+    drive::<F64x4, K, T>(xs, out, slot, scalar)
 }
 
 /// Runs the driver at the widest lane the build and CPU allow.
-fn run<K: Kernel>(xs: &[f32], out: &mut [f32], slot: usize, scalar: fn(f32) -> f32) {
+fn run<K: Kernel, T: Target>(xs: &[T], out: &mut [T], slot: usize, scalar: fn(T) -> T) -> Tally {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if avx2::available() {
         // SAFETY: AVX2 presence was just checked.
-        return unsafe { drive_avx2::<K>(xs, out, slot, scalar) };
+        return unsafe { drive_avx2::<K, T>(xs, out, slot, scalar) };
     }
-    drive::<f64, K>(xs, out, slot, scalar)
+    drive::<f64, K, T>(xs, out, slot, scalar)
+}
+
+/// [`run`] for an f32 function, with the f32 slice counters.
+fn run_f32<K: Kernel>(xs: &[f32], out: &mut [f32], slot: usize, scalar: fn(f32) -> f32) {
+    let t = run::<K, f32>(xs, out, slot, scalar);
+    SLICE_CHUNKS.add(t.chunks);
+    SLICE_RESCALAR.add(t.rescalar);
 }
 
 /// Batched [`crate::exp`]: bit-identical to the scalar map.
 pub fn exp_slice(xs: &[f32], out: &mut [f32]) {
-    run::<fast::Exp>(xs, out, slot::EXP, crate::exp)
+    run_f32::<fast::Exp>(xs, out, slot::EXP, crate::exp)
 }
 
 /// Batched [`crate::exp2`].
 pub fn exp2_slice(xs: &[f32], out: &mut [f32]) {
-    run::<fast::Exp2>(xs, out, slot::EXP2, crate::exp2)
+    run_f32::<fast::Exp2>(xs, out, slot::EXP2, crate::exp2)
 }
 
 /// Batched [`crate::exp10`].
 pub fn exp10_slice(xs: &[f32], out: &mut [f32]) {
-    run::<fast::Exp10>(xs, out, slot::EXP10, crate::exp10)
+    run_f32::<fast::Exp10>(xs, out, slot::EXP10, crate::exp10)
 }
 
 /// Batched [`crate::ln`].
 pub fn ln_slice(xs: &[f32], out: &mut [f32]) {
-    run::<fast::Ln>(xs, out, slot::LN, crate::ln)
+    run_f32::<fast::Ln>(xs, out, slot::LN, crate::ln)
 }
 
 /// Batched [`crate::log2`].
 pub fn log2_slice(xs: &[f32], out: &mut [f32]) {
-    run::<fast::Log2>(xs, out, slot::LOG2, crate::log2)
+    run_f32::<fast::Log2>(xs, out, slot::LOG2, crate::log2)
 }
 
 /// Batched [`crate::log10`].
 pub fn log10_slice(xs: &[f32], out: &mut [f32]) {
-    run::<fast::Log10>(xs, out, slot::LOG10, crate::log10)
+    run_f32::<fast::Log10>(xs, out, slot::LOG10, crate::log10)
 }
 
 /// Batched [`crate::sinh`].
 pub fn sinh_slice(xs: &[f32], out: &mut [f32]) {
-    run::<fast::Sinh>(xs, out, slot::SINH, crate::sinh)
+    run_f32::<fast::Sinh>(xs, out, slot::SINH, crate::sinh)
 }
 
 /// Batched [`crate::cosh`].
 pub fn cosh_slice(xs: &[f32], out: &mut [f32]) {
-    run::<fast::Cosh>(xs, out, slot::COSH, crate::cosh)
+    run_f32::<fast::Cosh>(xs, out, slot::COSH, crate::cosh)
 }
 
 /// Batched [`crate::sinpi`].
 pub fn sinpi_slice(xs: &[f32], out: &mut [f32]) {
-    run::<fast::Sinpi>(xs, out, slot::SINPI, crate::sinpi)
+    run_f32::<fast::Sinpi>(xs, out, slot::SINPI, crate::sinpi)
 }
 
 /// Batched [`crate::cospi`].
 pub fn cospi_slice(xs: &[f32], out: &mut [f32]) {
-    run::<fast::Cospi>(xs, out, slot::COSPI, crate::cospi)
+    run_f32::<fast::Cospi>(xs, out, slot::COSPI, crate::cospi)
 }
 
 /// Error returned by the by-name slice entry points when the name is not
@@ -282,28 +296,27 @@ pub fn eval_slice_f32(name: &str, xs: &[f32], out: &mut [f32]) -> Result<(), Unk
     Ok(())
 }
 
-/// Batched evaluation of a posit32 function by name. Posit encode/decode
-/// is regime-dependent bit twiddling, so the chunked loop simply applies
-/// the scalar two-tier function per lane — the entry point exists so
-/// harnesses can time "batched posit" without pretending there is a
-/// staged pipeline to exploit. NaR lanes resolve per lane exactly like
-/// the scalar API (NaR in, NaR out).
-pub fn eval_slice_posit32(
-    name: &str,
-    xs: &[rlibm_posit::Posit32],
-    out: &mut [rlibm_posit::Posit32],
-) -> Result<(), UnknownFunction> {
-    assert_eq!(xs.len(), out.len(), "eval_slice: input/output length mismatch");
-    let f = crate::posit32_fn_by_name(name).ok_or_else(|| UnknownFunction(name.to_owned()))?;
-    let mut chunks = 0u64;
-    for (xc, oc) in xs.chunks(LANES).zip(out.chunks_mut(LANES)) {
-        chunks += 1;
-        for i in 0..xc.len() {
-            oc[i] = f(xc[i]);
-        }
-    }
-    SLICE_POSIT_CHUNKS.add(chunks);
+/// Batched evaluation of a posit32 function by name: `out[i] = f(xs[i])`,
+/// bit-identical to the scalar function. The lanes run the f32 slices'
+/// chunk driver with the posit32 decode, round-safety test and encode;
+/// NaR, zero, saturating and out-of-domain lanes resolve per lane through
+/// the scalar entry (NaR in, NaR out). Unknown names are a typed error.
+pub fn eval_slice_posit32(name: &str, xs: &[Posit32], out: &mut [Posit32]) -> Result<(), UnknownFunction> {
+    use crate::posit as p;
+    let t = match name {
+        "ln" => run::<fast::Ln, _>(xs, out, slot::P32_LN, p::ln_p32),
+        "log2" => run::<fast::Log2, _>(xs, out, slot::P32_LOG2, p::log2_p32),
+        "log10" => run::<fast::Log10, _>(xs, out, slot::P32_LOG10, p::log10_p32),
+        "exp" => run::<fast::Exp, _>(xs, out, slot::P32_EXP, p::exp_p32),
+        "exp2" => run::<fast::Exp2, _>(xs, out, slot::P32_EXP2, p::exp2_p32),
+        "exp10" => run::<fast::Exp10, _>(xs, out, slot::P32_EXP10, p::exp10_p32),
+        "sinh" => run::<fast::Sinh, _>(xs, out, slot::P32_SINH, p::sinh_p32),
+        "cosh" => run::<fast::Cosh, _>(xs, out, slot::P32_COSH, p::cosh_p32),
+        _ => return Err(UnknownFunction(name.to_owned())),
+    };
+    SLICE_POSIT_CHUNKS.add(t.chunks);
     SLICE_POSIT_REQUESTS.add(xs.len() as u64);
+    SLICE_POSIT_RESCALAR.add(t.rescalar);
     Ok(())
 }
 

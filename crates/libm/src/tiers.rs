@@ -20,21 +20,32 @@
 //! escalate.
 
 use crate::fast::{self, Kernel};
+use crate::lane::Lane;
 use crate::stats::slot;
+use rlibm_fp::Representation;
 use rlibm_posit::Posit32;
 
-/// A 32-bit format the scalar ladder ships into.
-pub(crate) trait Target {
-    /// The format's round-safety test (see [`crate::round`]).
-    fn round_safe(y: f64, band: u64) -> bool;
+/// A 32-bit format the kernels ship into: how its values widen to the
+/// kernels' f64, its round-safety test and its rounding. The scalar
+/// ladder ([`climb`]) and the slice driver (`crate::slice`) are generic
+/// over it, so f32 and posit32 differ only here.
+pub(crate) trait Target: Representation {
+    /// Exact widening to the kernels' evaluation format.
+    fn widen(self) -> f64;
+    /// The format's round-safety test (see [`crate::round`]), per lane.
+    fn round_safe<L: Lane>(y: L, band: u64) -> L::M;
     /// Rounds a double the test accepted into the format.
     fn from_safe(y: f64) -> Self;
 }
 
 impl Target for f32 {
     #[inline(always)]
-    fn round_safe(y: f64, band: u64) -> bool {
-        crate::round::f32_round_safe(y, band)
+    fn widen(self) -> f64 {
+        f64::from(self)
+    }
+    #[inline(always)]
+    fn round_safe<L: Lane>(y: L, band: u64) -> L::M {
+        y.f32_round_safe(band)
     }
     #[inline(always)]
     fn from_safe(y: f64) -> f32 {
@@ -44,8 +55,12 @@ impl Target for f32 {
 
 impl Target for Posit32 {
     #[inline(always)]
-    fn round_safe(y: f64, band: u64) -> bool {
-        crate::round::posit32_round_safe(y, band)
+    fn widen(self) -> f64 {
+        self.to_f64()
+    }
+    #[inline(always)]
+    fn round_safe<L: Lane>(y: L, band: u64) -> L::M {
+        y.posit32_round_safe(band)
     }
     #[inline(always)]
     fn from_safe(y: f64) -> Posit32 {
@@ -61,12 +76,12 @@ impl Target for Posit32 {
 pub(crate) fn climb<K: Kernel, T: Target>(slot: usize, x: f64, dd: impl FnOnce() -> T) -> T {
     let (prefix_band, band) = K::BANDS;
     let y = crate::fault::perturb(slot, K::eval::<f64, false>(x));
-    if T::round_safe(y, prefix_band) {
+    if T::round_safe::<f64>(y, prefix_band) {
         crate::stats::record_tier_prefix(slot);
         return T::from_safe(y);
     }
     let y = K::eval::<f64, true>(x);
-    if T::round_safe(y, band) {
+    if T::round_safe::<f64>(y, band) {
         crate::stats::record_tier_full(slot);
         return T::from_safe(y);
     }

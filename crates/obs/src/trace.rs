@@ -185,6 +185,18 @@ pub fn sampled_at(tag: u64, shift: u32) -> bool {
     mix64(tag) & ((1u64 << shift.min(63)) - 1) == 0
 }
 
+/// The sequence numbers a ring snapshot may decode, given the cursor
+/// read before the copy (`c1`) and after it (`c2`): the records present
+/// at `c1` whose slots a writer that had reached `c2` — and may have
+/// begun writing seq `c2` — cannot have touched. Empty when the writer
+/// lapped the copy.
+#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+fn readable_window(c1: u64, c2: u64) -> core::ops::Range<u64> {
+    let present_lo = c1.saturating_sub(RING_CAP as u64);
+    let safe_lo = (c2 + 1).saturating_sub(RING_CAP as u64);
+    present_lo.max(safe_lo).min(c1)..c1
+}
+
 #[cfg(feature = "telemetry")]
 mod imp {
     use super::*;
@@ -298,11 +310,9 @@ mod imp {
         // may have advanced to c2 and begun writing seq c2 itself, dirtying
         // the slots of seqs [c1 - CAP, c2 - CAP]. Keep only records whose
         // slots could not have been touched.
-        let present_lo = c1.saturating_sub(RING_CAP as u64);
-        let safe_lo = (c2 + 1).saturating_sub(RING_CAP as u64);
-        let lo = present_lo.max(safe_lo);
-        let mut events = Vec::with_capacity((c1 - lo) as usize);
-        for seq in lo..c1 {
+        let window = super::readable_window(c1, c2);
+        let mut events = Vec::with_capacity((window.end - window.start) as usize);
+        for seq in window {
             let slot = (seq as usize % RING_CAP) * WORDS;
             let meta = copy[slot];
             if let Some(kind) = TraceKind::from_u8((meta >> 56) as u8) {
@@ -484,6 +494,20 @@ mod tests {
         let hits = (0..100_000u64).filter(|&t| sampled_at(t, 4)).count();
         // 1/16 of 100k = 6250; the tag hash should land within ±15%.
         assert!((5300..7200).contains(&hits), "sample rate off: {hits}");
+    }
+
+    /// A writer that laps the snapshot's copy leaves nothing readable
+    /// (this once computed a negative length and aborted the reader on a
+    /// capacity overflow); a quiescent ring shows its newest
+    /// `RING_CAP - 1` records.
+    #[test]
+    fn readable_window_never_runs_backwards() {
+        let cap = RING_CAP as u64;
+        assert_eq!(readable_window(10, 10), 0..10);
+        assert_eq!(readable_window(cap + 50, cap + 50), 51..cap + 50);
+        assert_eq!(readable_window(100, 100 + cap - 1), 100..100);
+        assert_eq!(readable_window(100, 100 + 5 * cap), 100..100);
+        assert_eq!(readable_window(100, 3), 0..100);
     }
 
     #[test]

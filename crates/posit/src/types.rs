@@ -39,11 +39,13 @@ macro_rules! posit_type {
 
             /// Rounds an `f64` into this posit format (NaN/inf become NaR;
             /// finite values saturate at `MAXPOS`/`MINPOS`).
+            #[inline]
             pub fn from_f64(x: f64) -> Self {
                 $name(Self::FORMAT.round_from_f64(x) as $storage)
             }
 
             /// Exact conversion to `f64` (`NaR` becomes NaN).
+            #[inline]
             pub fn to_f64(self) -> f64 {
                 Self::FORMAT.to_f64(self.0 as u32)
             }
@@ -144,10 +146,12 @@ macro_rules! posit_type {
                 self.0 as u32
             }
 
+            #[inline]
             fn to_f64(self) -> f64 {
                 $name::to_f64(self)
             }
 
+            #[inline]
             fn round_from_f64(x: f64) -> Self {
                 $name::from_f64(x)
             }

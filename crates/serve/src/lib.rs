@@ -549,6 +549,17 @@ pub fn register_metrics() {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that run the service. The shard counters are
+    /// process-global, so `metrics_observe_the_run_when_enabled`'s exact
+    /// request delta only holds while no other test is serving.
+    static SERVING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serving_alone() -> std::sync::MutexGuard<'static, ()> {
+        // A test that failed while holding the lock poisons it; the
+        // guarded state is `()`, so the next test can still proceed.
+        SERVING.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     fn small_cfg() -> ServeConfig {
         ServeConfig {
             shards: 2,
@@ -566,6 +577,7 @@ mod tests {
     /// correctness contract survives sharding, batching and SIMD.
     #[test]
     fn closed_loop_serves_everything_bit_identically() {
+        let _serving = serving_alone();
         let cfg = small_cfg();
         let report = serve_closed_loop(&cfg).expect("healthy run");
         assert_eq!(report.completions.len() as u64, cfg.requests);
@@ -592,6 +604,7 @@ mod tests {
     /// what is computed, only when.
     #[test]
     fn serve_results_independent_of_sharding() {
+        let _serving = serving_alone();
         fn result_set(shards: usize, queue_capacity: usize) -> Vec<(u64, u32, u32)> {
             let report = serve_closed_loop(&ServeConfig {
                 shards,
@@ -612,6 +625,7 @@ mod tests {
 
     #[test]
     fn metrics_observe_the_run_when_enabled() {
+        let _serving = serving_alone();
         register_metrics();
         let before = metrics::total_requests();
         let cfg = small_cfg();
@@ -627,6 +641,7 @@ mod tests {
 
     #[test]
     fn config_clamps_are_safe() {
+        let _serving = serving_alone();
         let report = serve_closed_loop(&ServeConfig {
             shards: 0,
             producers: 0,
@@ -675,6 +690,7 @@ mod tests {
     /// still balances: every request is a completion or a shed record.
     #[test]
     fn deadline_sheds_are_explicit_and_balanced() {
+        let _serving = serving_alone();
         let report = serve_closed_loop(&ServeConfig {
             deadline_ns: 1, // everything is past-deadline by dequeue time
             requests: 20_000,
@@ -703,6 +719,7 @@ mod tests {
     /// explicitly, and still quiesces with balanced accounting.
     #[test]
     fn mid_run_drain_is_graceful_and_accounted() {
+        let _serving = serving_alone();
         let report = serve_closed_loop(&ServeConfig {
             requests: 2_000_000,
             drain_after_ns: 2_000_000, // 2ms into a much longer run
@@ -748,6 +765,7 @@ mod tests {
     #[cfg(feature = "fault")]
     #[test]
     fn panicking_shard_cannot_shrink_completions_unnoticed() {
+        let _serving = serving_alone();
         suppress_chaos_panic_output();
         let cfg = ServeConfig {
             requests: 30_000,
@@ -784,6 +802,7 @@ mod tests {
     #[cfg(feature = "fault")]
     #[test]
     fn restart_budget_exhaustion_degrades_without_losing_requests() {
+        let _serving = serving_alone();
         suppress_chaos_panic_output();
         let report = serve_closed_loop(&ServeConfig {
             requests: 20_000,
@@ -809,6 +828,7 @@ mod tests {
     #[cfg(feature = "fault")]
     #[test]
     fn corruption_is_always_detected_and_shed() {
+        let _serving = serving_alone();
         suppress_chaos_panic_output();
         let report = serve_closed_loop(&ServeConfig {
             requests: 30_000,

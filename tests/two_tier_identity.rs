@@ -152,3 +152,41 @@ fn batched_matches_scalar_on_stratified_sweep() {
         }
     }
 }
+
+/// The posit32 twin of [`batched_output_checksum_is_feature_invariant`]:
+/// one FNV-1a over `eval_slice_posit32`'s outputs on a fixed input set,
+/// pinned to a constant that both the default and the `simd` build must
+/// reproduce. The inputs are the posit specials and their neighbours
+/// (0, NaR, ±minpos, ±maxpos, ±1) followed by a fixed-stride sweep over
+/// all 2^32 patterns, so every regime length and both signs reach the
+/// staged lanes, the saturation filters and the scalar re-entry.
+#[test]
+fn batched_posit_checksum_is_feature_invariant() {
+    use rlibm::posit::Posit32;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |bits: u32| {
+        for b in bits.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    let mut inputs: Vec<Posit32> = [0u32, 0x8000_0000, 1, 2, 0x7FFF_FFFF, 0x7FFF_FFFE, 0x4000_0000]
+        .iter()
+        .flat_map(|&b| [b, b.wrapping_neg(), b.wrapping_add(1), b.wrapping_sub(1)])
+        .map(Posit32::from_bits)
+        .collect();
+    inputs.extend((0..150_000u32).map(|i| Posit32::from_bits(i.wrapping_mul(0x9E37_79B9))));
+    let mut out = vec![Posit32::ZERO; inputs.len()];
+    for f in Func::POSIT {
+        rlibm::math::eval_slice_posit32(f.name(), &inputs, &mut out).expect("known name");
+        for y in &out {
+            mix(y.to_bits());
+        }
+    }
+    assert_eq!(
+        h, 0x2896_9E96_62F5_7629,
+        "batched posit outputs changed: if this fails only with --features \
+         simd, the AVX2 posit lanes diverged from the scalar reference; if \
+         it fails in both configs, the kernels or the codec changed"
+    );
+}
